@@ -5,7 +5,7 @@ Alice's job is fixed; Bob submits a short (2 slice) or long (7 slice) job.
 Isolation means Alice's gateway sees byte-identical deliveries either way.
 """
 
-from tifcsim import Frequency, build_scenario, run_paired, run_scenario
+from tifcsim import Frequency, TraceKind, build_scenario, run_paired, run_scenario
 from tifcsim.scenarios import boundary_records, render_schedule
 
 f = Frequency(1, 5)
@@ -25,6 +25,7 @@ ablated = build_scenario("statmux", freq=f, pacer_present=False)
 run = run_scenario(ablated)
 print("pacer removed:")
 print(render_schedule(run.trace, ablated))
-for r in run.monitor.denials():
-    print("DENIED:", r.to_json())
+for r in run.trace:
+    if r.kind is TraceKind.MONITOR_DENY:
+        print("DENIED:", r.to_json())
 print("deliveries to Alice:", len(boundary_records(run.trace, "A")))

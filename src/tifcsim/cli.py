@@ -4,6 +4,16 @@ Subcommands: validate, run, paired, leakage, check-labels. Exit codes:
 0 success, 1 assertion/leakage failure, 2 configuration error, 3 denied
 flow under fatal monitor mode. Seed precedence: --seed, then the
 TIFC_SIM_SEED environment variable, then the config file.
+
+A config file is one JSON object: a full scenario (users, cores, scheduler
+{kind, users}, pacer {f, first_tick}, grants, jobs [{owner, work, payload,
+arrival, demand_visible}], horizon, seed, monitor_mode), a shorthand
+scenario (scenario, f, pacer, users, horizon, seed, monitor_mode) or, for
+leakage, an experiment (f, short, long, probe, frame, paced, topology,
+message_len, bitstring, trials, horizon, seed). The --expect file is a list
+of {kind, entity, detail, occurrence, label}. An unknown key, a missing
+required key or a value of the wrong type is a configuration error naming
+its key path.
 """
 
 from __future__ import annotations
@@ -15,17 +25,15 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .kernel import ConfigError, MonitorFault, TraceKind, TraceRecord
-from .labels import Label, LabelParseError
+from .kernel import ConfigError, MonitorFault, TraceRecord
 from .leakage import CovertExperiment, measure
 from .scenarios import (
-    RecordSelector,
     ScenarioConfig,
     assert_labels,
-    build_scenario,
     default_label_expectations,
+    read_expectations,
     render_schedule,
     run_paired,
     run_scenario,
@@ -37,7 +45,7 @@ EXIT_CONFIG = 2
 EXIT_FATAL = 3
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -48,26 +56,10 @@ def _load_json(path: str) -> dict:
 
 
 def load_scenario(path: str, seed: Optional[int]) -> ScenarioConfig:
-    obj = _load_json(path)
-    if "scenario" in obj:
-        # Shorthand: {"scenario": "statmux", "f": "1/5", ...}
-        from .labels import Frequency
-        from .monitor import MonitorMode
-
-        cfg = build_scenario(
-            obj["scenario"],
-            users=tuple(obj.get("users", ("A", "B"))),
-            freq=Frequency.parse(obj["f"]) if "f" in obj else None,
-            horizon=obj.get("horizon", 200),
-            seed=obj.get("seed", 0),
-            pacer_present=obj.get("pacer", True),
-            monitor_mode=MonitorMode(obj.get("monitor_mode", "record")),
-        )
-    else:
-        cfg = ScenarioConfig.from_json_obj(obj)
+    cfg = ScenarioConfig.from_json_obj(_load_json(path))
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg.validate()
+    return cfg
 
 
 def _resolve_seed(args) -> Optional[int]:
@@ -145,8 +137,7 @@ def cmd_paired(args) -> int:
 
 
 def cmd_leakage(args) -> int:
-    obj = _load_json(args.config)
-    exp = CovertExperiment.from_json_obj(obj)
+    exp = CovertExperiment.from_json_obj(_load_json(args.config))
     seed = _resolve_seed(args)
     if seed is not None:
         exp = dataclasses.replace(exp, seed=seed)
@@ -163,30 +154,11 @@ def cmd_leakage(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_ASSERTION
 
 
-def _load_expectations(path: str) -> List[Tuple[RecordSelector, Label]]:
-    raw = _load_json(path)
-    if not isinstance(raw, list):
-        raise ConfigError("expectations file must be a JSON list")
-    expectations = []
-    for item in raw:
-        try:
-            selector = RecordSelector(
-                kind=TraceKind(item["kind"]) if item.get("kind") else None,
-                entity=item.get("entity"),
-                detail=item.get("detail", {}),
-                occurrence=item.get("occurrence", 0),
-            )
-            expectations.append((selector, Label.parse(item["label"])))
-        except (KeyError, ValueError, LabelParseError) as exc:
-            raise ConfigError(f"bad expectation {item!r}: {exc}") from exc
-    return expectations
-
-
 def cmd_check_labels(args) -> int:
     cfg = load_scenario(args.config, _resolve_seed(args))
     run = run_scenario(cfg)
     if args.expect:
-        expectations = _load_expectations(args.expect)
+        expectations = read_expectations(_load_json(args.expect), "expect")
     else:
         expectations = default_label_expectations(cfg)
         if not expectations:
@@ -244,7 +216,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, LabelParseError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MonitorFault as exc:

@@ -41,9 +41,24 @@ def check_process_label(label: Label) -> Label:
     return label
 
 
-def _check_bits(bits: str) -> str:
-    if bits.strip("01") != "":
-        raise ConfigError(f"payload must be a bit string, got {bits!r}")
+def pacer_clock(freq: Frequency, first_tick: Optional[int] = None) -> Tuple[int, int]:
+    """Period and first tick of a pacer's clock. A pacer fires on whole
+    ticks, so its frequency must be 1/k; it first fires one period in
+    unless ``first_tick`` says otherwise."""
+    if freq.is_infinite or freq.numerator != 1:
+        raise ConfigError(
+            f"pacer frequency must be 1/k for a whole number of ticks, got {freq}"
+        )
+    if first_tick is None:
+        return freq.denominator, freq.denominator
+    if type(first_tick) is not int or first_tick < 0:
+        raise ConfigError(f"pacer.first_tick must be an integer >= 0, got {first_tick!r}")
+    return freq.denominator, first_tick
+
+
+def check_bits(bits: str, name: str = "payload") -> str:
+    if not isinstance(bits, str) or bits.strip("01"):
+        raise ConfigError(f"{name} must be a bit string, got {bits!r}")
     return bits
 
 
@@ -58,12 +73,11 @@ class Job:
     label: Label
     demand_visible: bool = True
     remaining: int = field(init=False)
-    completed_at: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.work < 1:
             raise ConfigError(f"job {self.job_id}: work must be >= 1")
-        _check_bits(self.payload_bits)
+        check_bits(self.payload_bits)
         check_process_label(self.label)
         self.remaining = self.work
 
@@ -252,7 +266,6 @@ class ComputeCore(Entity):
                  job=job.job_id, owner=user, remaining=job.remaining)
         if job.remaining == 0:
             queue.popleft()
-            job.completed_at = sim.now
             digest = result_payload(job.payload_bits)
             sim.emit(TraceKind.JOB_COMPLETE, self.id, label=job.label,
                      job=job.job_id, owner=user, result=digest)
@@ -304,16 +317,9 @@ class Pacer(Entity):
         first_tick: Optional[int] = None,
     ):
         super().__init__(f"pacer_{owner}")
-        if freq.is_infinite or freq.numerator != 1:
-            raise ConfigError(
-                f"pacer frequency must be 1/k for a whole number of ticks, got {freq}"
-            )
         self.owner = owner
         self.freq = freq
-        self.period = freq.denominator
-        self.first_tick = self.period if first_tick is None else first_tick
-        if self.first_tick < 0:
-            raise ConfigError("pacer first tick must be >= 0")
+        self.period, self.first_tick = pacer_clock(freq, first_tick)
         self.monitor = monitor
         self.downstream = downstream
         self.clearance = Label((owner,), {u: INFINITY for u in users})

@@ -203,11 +203,6 @@ class Engine:
         return tuple(self._trace)
 
 
-def write_jsonl(records, stream) -> None:
-    for record in records:
-        stream.write(record.to_json() + "\n")
-
-
 def trace_to_jsonl(records) -> str:
     return "".join(record.to_json() + "\n" for record in records)
 

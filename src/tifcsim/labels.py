@@ -104,11 +104,11 @@ INFINITY = Frequency(1, 0)
 ZERO = Frequency(0)
 
 # Tag ids must stay clear of the label grammar's punctuation.
-_TAG_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+TAG_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 def _check_tag(tag: str) -> str:
-    if not isinstance(tag, str) or not _TAG_RE.match(tag):
+    if not isinstance(tag, str) or not TAG_RE.match(tag):
         raise ValueError(f"bad user tag {tag!r}: need [A-Za-z0-9_]+")
     return tag
 
@@ -244,7 +244,7 @@ class Label:
         pos = 1
         if content_part != "-":
             for piece in content_part.split(","):
-                if not _TAG_RE.match(piece):
+                if not TAG_RE.match(piece):
                     raise LabelParseError(f"bad content tag {piece!r}", pos)
                 content.append(piece)
                 pos += len(piece) + 1
@@ -253,7 +253,7 @@ class Label:
         if timing_part != "-":
             for piece in timing_part.split(","):
                 user, sep, freq_text = piece.partition(":")
-                if not sep or not _TAG_RE.match(user):
+                if not sep or not TAG_RE.match(user):
                     raise LabelParseError(f"bad timing tag {piece!r}", pos)
                 timing.append((user, Frequency.parse(freq_text, pos + len(user) + 1)))
                 pos += len(piece) + 1

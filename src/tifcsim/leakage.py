@@ -24,14 +24,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .entities import check_bits, pacer_clock
 from .kernel import ConfigError
 from .labels import INFINITY, Capability, Frequency
 from .scenarios import (
+    BOOL,
+    FREQ,
+    INT,
+    STR,
     JobSpec,
     PacerSpec,
     ScenarioConfig,
     SchedulerSpec,
     boundary_records,
+    json_object,
+    optional,
     run_scenario,
 )
 
@@ -65,8 +72,7 @@ class CovertExperiment:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.freq.is_infinite or self.freq.numerator != 1:
-            raise ConfigError(f"bound frequency must be 1/k, got {self.freq}")
+        period, _ = pacer_clock(self.freq)
         if self.short_work == self.long_work:
             raise ConfigError("encoding job lengths must be distinct")
         if min(self.short_work, self.long_work, self.probe_work) < 1:
@@ -76,22 +82,21 @@ class CovertExperiment:
         n = len(self.bitstring) if self.bitstring is not None else self.message_len
         if n < 64:
             raise ConfigError("message must be at least 64 bits for rate estimates")
-        if self.bitstring is not None and self.bitstring.strip("01"):
-            raise ConfigError("bitstring must contain only 0 and 1")
-        if self.frame % self.period != 0:
-            raise ConfigError("frame must be a whole number of pacer periods")
+        if self.bitstring is not None:
+            check_bits(self.bitstring, "bitstring")
+        if self.frame < period or self.frame % period != 0:
+            raise ConfigError("frame must be a positive whole number of pacer periods")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
-        frames = n
-        if self.horizon < frames * self.frame + self.period:
+        if self.horizon < n * self.frame + period:
             raise ConfigError(
-                f"horizon {self.horizon} too short for {frames} frames of "
+                f"horizon {self.horizon} too short for {n} frames of "
                 f"{self.frame} ticks plus one period"
             )
 
     @property
     def period(self) -> int:
-        return self.freq.denominator
+        return pacer_clock(self.freq)[0]
 
     @property
     def frame(self) -> int:
@@ -109,24 +114,18 @@ class CovertExperiment:
                        for _ in range(self.message_len))
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "CovertExperiment":
-        try:
-            return cls(
-                freq=Frequency.parse(obj.get("f", "1/5")),
-                short_work=obj.get("short", 1),
-                long_work=obj.get("long", 3),
-                probe_work=obj.get("probe", 1),
-                frame_ticks=obj.get("frame"),
-                paced=obj.get("paced", True),
-                topology=obj.get("topology", "shared"),
-                message_len=obj.get("message_len", 64),
-                bitstring=obj.get("bitstring"),
-                trials=obj.get("trials", 10),
-                horizon=obj.get("horizon", 2048),
-                seed=obj.get("seed", 1),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
+    def from_json_obj(cls, obj: object) -> "CovertExperiment":
+        return _read_experiment(obj, "config")
+
+
+_read_experiment = json_object(
+    CovertExperiment,
+    {"f": FREQ, "short": INT, "long": INT, "probe": INT, "frame": optional(INT),
+     "paced": BOOL, "topology": STR, "message_len": INT,
+     "bitstring": optional(STR), "trials": INT, "horizon": INT, "seed": INT},
+    rename={"f": "freq", "short": "short_work", "long": "long_work",
+            "probe": "probe_work", "frame": "frame_ticks"},
+)
 
 
 def default_experiment(**overrides) -> CovertExperiment:
@@ -182,22 +181,16 @@ def build_config(exp: CovertExperiment, bits: str, seed: int) -> ScenarioConfig:
                             exp.frame)
     jobs = tuple(j for pair in zip(probes, senders) for j in pair)
     grant_limit = exp.freq if exp.paced else INFINITY
-    grants = {
-        u: tuple(Capability(o, grant_limit) for o in users if o != u)
-        for u in users
-    }
-    if exp.topology == "dedicated":
-        return ScenarioConfig(
-            users=users, cores="private", jobs=jobs,
-            horizon=exp.horizon, seed=seed,
-            pacer=PacerSpec(exp.freq) if exp.paced else None,
-        ).validate()
+    shared = exp.topology == "shared"
     return ScenarioConfig(
         users=users,
-        cores="shared",
-        scheduler=SchedulerSpec("demand", ("B", "A")),  # sender priority
+        cores="shared" if shared else "private",
+        scheduler=SchedulerSpec("demand", ("B", "A")) if shared else None,  # sender priority
         pacer=PacerSpec(exp.freq) if exp.paced else None,
-        grants=grants,
+        grants={
+            u: tuple(Capability(o, grant_limit) for o in users if o != u)
+            for u in users
+        } if shared else {},
         jobs=jobs,
         horizon=exp.horizon,
         seed=seed,

@@ -1,4 +1,4 @@
-"""Reference monitor: flow checks, receive-side tainting, audit log.
+"""Reference monitor: flow checks, receive-side tainting, decision records.
 
 A send is allowed iff the source label, after automatically applying every
 held capability, flows to the destination label. Receiving tainted data
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import Tuple
 
-from .kernel import Engine, MonitorFault, TraceKind, TraceRecord
+from .kernel import Engine, MonitorFault, TraceKind
 from .labels import CapabilitySet, Label
 
 
@@ -62,11 +62,10 @@ def apply_receive(receiver: Label, msg_label: Label, channel: Channel) -> Label:
 
 
 class Monitor:
-    """Stateful wrapper that records every decision into the trace."""
+    """Records every decision into the trace, which is the audit log."""
 
     def __init__(self, mode: MonitorMode = MonitorMode.RECORD_AND_DROP):
         self.mode = mode
-        self._decisions: List[TraceRecord] = []
 
     def decide(
         self,
@@ -94,14 +93,6 @@ class Monitor:
             residual=",".join(decision.residual),
             **detail,
         )
-        self._decisions.append(record)
         if not decision.allowed and self.mode is MonitorMode.FATAL:
             raise MonitorFault(f"flow denied at {at}: {record.detail['residual']}", record)
         return decision
-
-    def audit_log(self) -> Tuple[TraceRecord, ...]:
-        """Every decision record, in execution order."""
-        return tuple(self._decisions)
-
-    def denials(self) -> Tuple[TraceRecord, ...]:
-        return tuple(r for r in self._decisions if r.kind is TraceKind.MONITOR_DENY)

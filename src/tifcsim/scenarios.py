@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .entities import (
     ComputeCore,
@@ -26,9 +26,11 @@ from .entities import (
     Pacer,
     ReservationScheduler,
     Scheduler,
+    check_bits,
+    pacer_clock,
 )
 from .kernel import ConfigError, Engine, Phase, TraceKind, TraceRecord
-from .labels import INFINITY, Capability, CapabilitySet, Frequency, Label
+from .labels import INFINITY, TAG_RE, Capability, CapabilitySet, Frequency, Label
 from .monitor import Monitor, MonitorMode
 
 
@@ -66,8 +68,7 @@ class ScenarioConfig:
     monitor_mode: MonitorMode = MonitorMode.RECORD_AND_DROP
 
     def validate(self) -> "ScenarioConfig":
-        if not self.users or len(set(self.users)) != len(self.users):
-            raise ConfigError("users must be non-empty and unique")
+        _check_users(self.users)
         if self.cores not in ("shared", "private"):
             raise ConfigError(f"cores must be 'shared' or 'private', got {self.cores!r}")
         if self.cores == "shared" and self.scheduler is None:
@@ -80,26 +81,24 @@ class ScenarioConfig:
             if not self.scheduler.users or not set(self.scheduler.users) <= set(self.users):
                 raise ConfigError("scheduler users must be a non-empty subset of users")
         if self.pacer is not None:
-            f = self.pacer.freq
-            if f.is_infinite or f.numerator != 1:
-                raise ConfigError(f"pacer frequency must be 1/k, got {f}")
+            pacer_clock(self.pacer.freq, self.pacer.first_tick)
         for u, caps in self.grants.items():
             if u not in self.users:
                 raise ConfigError(f"grant for unknown user {u!r}")
             for cap in caps:
                 if cap.user not in self.users:
                     raise ConfigError(f"capability over unknown user {cap.user!r}")
-        for spec in self.jobs:
+        if not _whole(self.horizon, 1):
+            raise ConfigError("horizon must be an integer >= 1")
+        for i, spec in enumerate(self.jobs):
             if spec.owner not in self.users:
-                raise ConfigError(f"job owner {spec.owner!r} not in users")
-            if spec.work < 1:
-                raise ConfigError("job work must be >= 1")
-            if not (0 <= spec.arrival < self.horizon):
-                raise ConfigError("job arrival must lie within the horizon")
-            if spec.payload.strip("01"):
-                raise ConfigError("job payload must be a bit string")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
+                raise ConfigError(f"jobs[{i}].owner {spec.owner!r} is not in users")
+            if not _whole(spec.work, 1):
+                raise ConfigError(f"jobs[{i}].work must be an integer >= 1")
+            if not (_whole(spec.arrival, 0) and spec.arrival < self.horizon):
+                raise ConfigError(
+                    f"jobs[{i}].arrival must be an integer within the horizon")
+            check_bits(spec.payload, f"jobs[{i}].payload")
         return self
 
     def classify(self) -> str:
@@ -132,16 +131,7 @@ class ScenarioConfig:
             "grants": {
                 u: [str(c) for c in caps] for u, caps in sorted(self.grants.items())
             },
-            "jobs": [
-                {
-                    "owner": j.owner,
-                    "work": j.work,
-                    "payload": j.payload,
-                    "arrival": j.arrival,
-                    "demand_visible": j.demand_visible,
-                }
-                for j in self.jobs
-            ],
+            "jobs": [dataclasses.asdict(j) for j in self.jobs],  # keys are JobSpec's fields
             "horizon": self.horizon,
             "seed": self.seed,
             "monitor_mode": self.monitor_mode.value,
@@ -151,53 +141,98 @@ class ScenarioConfig:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "ScenarioConfig":
+    def from_json_obj(cls, obj: object) -> "ScenarioConfig":
+        """Read and validate the full form, or the shorthand
+        ``{"scenario": kind, "f": ..., "pacer": bool, ...}`` that
+        ``build_scenario`` expands."""
+        if isinstance(obj, dict) and "scenario" in obj:
+            return _read_shorthand(obj, "config")
+        return _read_full(obj, "config").validate()
+
+
+def _whole(value: object, least: int) -> bool:
+    """An int (never a bool or a float) of at least ``least``."""
+    return type(value) is int and value >= least
+
+
+def _check_users(users: Sequence[str]) -> None:
+    if not users or len(set(users)) != len(users):
+        raise ConfigError("users must be non-empty and unique")
+    for u in users:
+        if not isinstance(u, str) or not TAG_RE.match(u):
+            raise ConfigError(f"users: {u!r} is not a user id ([A-Za-z0-9_]+)")
+
+
+# -- typed JSON reading ---------------------------------------------------------
+# Every config file is read by composing these readers. A reader takes a JSON
+# value and its key path and returns the Python value, or raises ConfigError
+# naming the path.
+
+Reader = Callable[[object, str], object]
+
+
+def typed(kind: type, what: str) -> Reader:
+    """Exactly ``kind``: a bool is not an int and a float is not an int."""
+    def read(value: object, path: str) -> object:
+        if type(value) is not kind:
+            raise ConfigError(f"{path}: expected {what}, got {value!r:.40}")
+        return value
+    return read
+
+
+INT = typed(int, "an integer")
+BOOL = typed(bool, "true or false")
+STR = typed(str, "a string")
+LIST = typed(list, "a list")
+OBJECT = typed(dict, "an object")
+
+
+def parsed(parse: Callable[[str], object]) -> Reader:
+    """A string turned into a value by ``parse``."""
+    def read(value: object, path: str) -> object:
         try:
-            scheduler = None
-            if obj.get("scheduler"):
-                scheduler = SchedulerSpec(
-                    kind=obj["scheduler"]["kind"],
-                    users=tuple(obj["scheduler"]["users"]),
-                )
-            pacer = None
-            if obj.get("pacer"):
-                pacer = PacerSpec(
-                    freq=Frequency.parse(obj["pacer"]["f"]),
-                    first_tick=obj["pacer"].get("first_tick"),
-                )
-            grants = {
-                u: tuple(Capability.parse(c) for c in caps)
-                for u, caps in obj.get("grants", {}).items()
-            }
-            jobs = tuple(
-                JobSpec(
-                    owner=j["owner"],
-                    work=j["work"],
-                    payload=j.get("payload", ""),
-                    arrival=j.get("arrival", 0),
-                    demand_visible=j.get("demand_visible", True),
-                )
-                for j in obj.get("jobs", ())
-            )
-            cfg = cls(
-                users=tuple(obj["users"]),
-                cores=obj.get("cores", "shared"),
-                scheduler=scheduler,
-                pacer=pacer,
-                grants=grants,
-                jobs=jobs,
-                horizon=obj.get("horizon", 200),
-                seed=obj.get("seed", 0),
-                monitor_mode=MonitorMode(obj.get("monitor_mode", "record")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"bad scenario config: {exc}") from exc
-        return cfg.validate()
+            return parse(STR(value, path))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return read
 
 
-DEFAULT_PACER_FREQ = Frequency(1, 5)
+FREQ = parsed(Frequency.parse)
+
+
+def optional(inner: Reader) -> Reader:
+    return lambda value, path: None if value is None else inner(value, path)
+
+
+def list_of(item: Reader) -> Reader:
+    return lambda value, path: tuple(
+        item(v, f"{path}[{i}]") for i, v in enumerate(LIST(value, path)))
+
+
+def map_of(item: Reader) -> Reader:
+    """An object with any keys and ``item`` values."""
+    return lambda value, path: {
+        k: item(v, f"{path}.{k}") for k, v in OBJECT(value, path).items()}
+
+
+def json_object(build: Callable[..., object], fields: Mapping[str, Reader],
+                required: Sequence[str] = (),
+                rename: Optional[Mapping[str, str]] = None) -> Reader:
+    """An object with keys from ``fields``, passed to ``build`` as keyword
+    arguments named by ``rename`` or else by key; absent keys take
+    ``build``'s defaults."""
+    def read(value: object, path: str) -> object:
+        for key in OBJECT(value, path):
+            if key not in fields:
+                raise ConfigError(f"{path}.{key}: unknown key")
+        for key in required:
+            if key not in value:
+                raise ConfigError(f"{path}.{key}: required key missing")
+        return build(**{(rename or {}).get(k, k): fields[k](v, f"{path}.{k}")
+                        for k, v in value.items()})
+    return read
+
+
 DEFAULT_JOBS = (JobSpec("A", 4, "1011"), JobSpec("B", 2, "0110"))
 
 
@@ -218,51 +253,67 @@ def build_scenario(
     the result path) used to show the monitor catching the unpaced flow.
     """
     users = tuple(users)
-    job_list = tuple(jobs) if jobs is not None else tuple(
-        j for j in DEFAULT_JOBS if j.owner in users
-    )
-    common = dict(users=users, jobs=job_list, horizon=horizon, seed=seed,
-                  monitor_mode=monitor_mode)
+    _check_users(users)  # before any Capability is built from them
     if kind == "dedicated":
-        return ScenarioConfig(cores="private", **common).validate()
-    if kind == "reservation":
-        return ScenarioConfig(
-            cores="shared",
-            scheduler=SchedulerSpec("reservation", users),
-            **common,
-        ).validate()
-    if kind == "statmux":
+        topology: dict = dict(cores="private")
+    elif kind == "reservation":
+        topology = dict(scheduler=SchedulerSpec("reservation", users))
+    elif kind == "statmux":
         if freq is None:
             raise ConfigError("statmux requires a pacer frequency")
-        grants = {
-            u: tuple(Capability(other, freq) for other in users if other != u)
-            for u in users
-        }
-        return ScenarioConfig(
-            cores="shared",
+        topology = dict(
             scheduler=SchedulerSpec("demand", users),
             pacer=PacerSpec(freq) if pacer_present else None,
-            grants=grants,
-            **common,
-        ).validate()
-    raise ConfigError(f"unknown scenario kind {kind!r}")
+            grants={
+                u: tuple(Capability(other, freq) for other in users if other != u)
+                for u in users
+            },
+        )
+    else:
+        raise ConfigError(f"unknown scenario kind {kind!r}")
+    if jobs is None:
+        jobs = tuple(j for j in DEFAULT_JOBS if j.owner in users)
+    return ScenarioConfig(users=users, jobs=tuple(jobs), horizon=horizon, seed=seed,
+                          monitor_mode=monitor_mode, **topology).validate()
+
+
+_USERS = list_of(STR)
+_COMMON = {"users": _USERS, "horizon": INT, "seed": INT,
+           "monitor_mode": parsed(MonitorMode)}
+_read_full = json_object(ScenarioConfig, {
+    "cores": STR,
+    "scheduler": optional(json_object(
+        SchedulerSpec, {"kind": STR, "users": _USERS}, required=("kind", "users"))),
+    "pacer": optional(json_object(
+        PacerSpec, {"f": FREQ, "first_tick": optional(INT)}, required=("f",),
+        rename={"f": "freq"})),
+    "grants": map_of(list_of(parsed(Capability.parse))),
+    "jobs": list_of(json_object(
+        JobSpec,
+        {"owner": STR, "work": INT, "payload": STR, "arrival": INT,
+         "demand_visible": BOOL},
+        required=("owner", "work"))),
+    **_COMMON,
+}, required=("users",))
+_read_shorthand = json_object(
+    build_scenario, {"scenario": STR, "f": FREQ, "pacer": BOOL, **_COMMON},
+    required=("scenario",),
+    rename={"scenario": "kind", "f": "freq", "pacer": "pacer_present"})
 
 
 @dataclass
 class ScenarioRun:
     config: ScenarioConfig
     trace: List[TraceRecord]
-    monitor: Monitor
     engine: Engine
 
 
-def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor, Dict[str, object]]:
+def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor]:
     """Instantiate entities for a validated config and schedule the initial
     events (arrivals, scheduler/core ticks, pacer clock)."""
     cfg.validate()
     engine = Engine(sink=sink)
     monitor = Monitor(cfg.monitor_mode)
-    parts: Dict[str, object] = {}
 
     gateways = {
         u: engine.add(
@@ -270,19 +321,16 @@ def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor, Dict[str, obj
         )
         for u in cfg.users
     }
-    parts.update({gw.id: gw for gw in gateways.values()})
 
     cores: Dict[str, ComputeCore] = {}
     if cfg.cores == "shared":
         core = engine.add(ComputeCore("core", cfg.users, monitor))
         for u in cfg.users:
             cores[u] = core
-        parts[core.id] = core
     else:
         for u in cfg.users:
             core = engine.add(ComputeCore(f"core_{u}", (u,), monitor, fixed_user=u))
             cores[u] = core
-            parts[core.id] = core
             engine.schedule(0, core, ("slice",))
 
     for u in cfg.users:
@@ -295,7 +343,6 @@ def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor, Dict[str, obj
                       first_tick=cfg.pacer.first_tick)
             )
             cores[u].routes[u] = pacer
-            parts[pacer.id] = pacer
             engine.schedule(pacer.first_tick, pacer, ("tick",))
     else:
         for u in cfg.users:
@@ -308,7 +355,6 @@ def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor, Dict[str, obj
         else:
             sched = DemandScheduler(shared, monitor, cfg.scheduler.users)
         engine.add(sched)
-        parts[sched.id] = sched
         engine.schedule(0, sched, ("tick",))
 
     counters = {u: 0 for u in cfg.users}
@@ -324,13 +370,13 @@ def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor, Dict[str, obj
         )
         engine.schedule(spec.arrival, gateways[spec.owner], ("arrive", request),
                         phase=Phase.ARRIVAL)
-    return engine, monitor, parts
+    return engine, monitor
 
 
 def run_scenario(cfg: ScenarioConfig, sink=None) -> ScenarioRun:
-    engine, monitor, _ = wire(cfg, sink=sink)
+    engine, _ = wire(cfg, sink=sink)
     trace = engine.run_until(cfg.horizon)
-    return ScenarioRun(config=cfg, trace=trace, monitor=monitor, engine=engine)
+    return ScenarioRun(config=cfg, trace=trace, engine=engine)
 
 
 # -- trace queries ----------------------------------------------------------
@@ -353,6 +399,10 @@ class RecordSelector:
     entity: Optional[str] = None
     detail: Mapping[str, str] = field(default_factory=dict)
     occurrence: int = 0
+
+    def __post_init__(self) -> None:
+        if not _whole(self.occurrence, 0):
+            raise ConfigError("occurrence must be an integer >= 0")
 
     def matches(self, record: TraceRecord) -> bool:
         if self.kind is not None and record.kind is not self.kind:
@@ -406,6 +456,15 @@ def assert_labels(
         else:
             checks.append(LabelCheck(selector, expected, record.label, True, "ok"))
     return checks
+
+
+# The --expect file of check-labels, as (selector, label) pairs.
+read_expectations = list_of(json_object(
+    lambda label, **selector: (RecordSelector(**selector), label),
+    {"kind": optional(parsed(TraceKind)), "entity": optional(STR),
+     "detail": map_of(STR), "occurrence": INT, "label": parsed(Label.parse)},
+    required=("label",),
+))
 
 
 def default_label_expectations(cfg: ScenarioConfig) -> List[Tuple[RecordSelector, Label]]:
@@ -557,8 +616,7 @@ def run_paired(
 
     boundary_ok: Optional[bool] = None
     if cfg.pacer is not None:
-        period = cfg.pacer.freq.denominator
-        first = cfg.pacer.first_tick if cfg.pacer.first_tick is not None else period
+        period, first = pacer_clock(cfg.pacer.freq, cfg.pacer.first_tick)
         ticks = [
             r.t
             for run in (run_short, run_long)

@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tifcsim.cli import main
+from tifcsim.leakage import LeakageReport, TrialResult
 
 
 def write(path, obj):
@@ -111,14 +120,99 @@ def test_check_labels_defaults_and_custom(statmux_cfg, tmp_path):
                  "--expect", wrong]) == 1
 
 
-def test_config_errors_exit_2(tmp_path):
-    missing = str(tmp_path / "nope.json")
-    assert main(["run", "--config", missing]) == 2
-    bad_json = tmp_path / "bad.json"
-    bad_json.write_text("{not json", encoding="utf-8")
-    assert main(["run", "--config", str(bad_json)]) == 2
-    bad_cfg = write(tmp_path / "badcfg.json", {"scenario": "statmux"})  # no f
-    assert main(["run", "--config", str(bad_cfg)]) == 2
+FULL = {
+    "users": ["A", "B"],
+    "cores": "shared",
+    "scheduler": {"kind": "demand", "users": ["A", "B"]},
+    "pacer": {"f": "1/5", "first_tick": 2},
+    "jobs": [{"owner": "A", "work": 2, "payload": "01", "arrival": 0,
+              "demand_visible": True}],
+    "horizon": 20,
+}
+SHORT = {"scenario": "statmux", "f": "1/5"}
+LEAK = {"f": "1/5", "trials": 1}
+
+
+def edit(base, path, value):
+    """A deep copy of ``base`` with the value at key ``path`` replaced."""
+    obj = json.loads(json.dumps(base))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+# (command, file content, text naming the offending key on stderr); bytes are
+# written raw. After the first three rows, each input once escaped as a
+# traceback (exit 1) or was silently accepted.
+CONFIG_ERRORS = [
+    pytest.param("run", None, "cannot read", id="missing-file"),
+    pytest.param("run", b"{not json", "not valid JSON", id="bad-json"),
+    pytest.param("run", {"scenario": "statmux"}, "frequency", id="shorthand-no-f"),
+    pytest.param("run", [1, 2], "config: expected an object", id="top-list"),
+    pytest.param("run", "hello", "config: expected an object", id="top-string"),
+    pytest.param("run", edit(FULL, ["jobs", 0, "payload"], 5), "jobs[0].payload",
+                 id="payload-int"),
+    pytest.param("run", edit(FULL, ["horizon"], "10"), "horizon", id="horizon-str"),
+    pytest.param("run", edit(SHORT, ["horizon"], "10"), "horizon",
+                 id="shorthand-horizon-str"),
+    pytest.param("run", edit(SHORT, ["f"], 5), "f:", id="f-int"),
+    pytest.param("run", {"users": ["A-B"], "scheduler": {"kind": "demand",
+                                                          "users": ["A-B"]}},
+                 "users", id="user-A-B"),
+    pytest.param("run", edit(SHORT, ["users"], ["A-B"]), "users",
+                 id="shorthand-user-A-B"),
+    pytest.param("run", edit(FULL, ["users"], [1, 2]), "users[0]", id="users-ints"),
+    pytest.param("run", edit(FULL, ["horizon"], True), "horizon", id="horizon-bool"),
+    pytest.param("run", edit(FULL, ["horizon"], 20.5), "horizon", id="horizon-float"),
+    pytest.param("run", edit(FULL, ["users"], "AB"), "users", id="users-str"),
+    pytest.param("run", edit(FULL, ["jobs", 0, "work"], 2.5), "jobs[0].work",
+                 id="work-float"),
+    pytest.param("run", edit(FULL, ["jobs", 0, "arrival"], 0.5), "jobs[0].arrival",
+                 id="arrival-float"),
+    pytest.param("run", edit(FULL, ["pacer", "first_tick"], 2.5), "pacer.first_tick",
+                 id="first-tick-float"),
+    pytest.param("validate", edit(FULL, ["pacer", "first_tick"], -1),
+                 "pacer.first_tick", id="first-tick-negative"),
+    pytest.param("run", edit(FULL, ["jobs", 0, "demand_visible"], "no"),
+                 "jobs[0].demand_visible", id="demand-visible-str"),
+    pytest.param("run", edit(FULL, ["pacre"], {"f": "1/5"}), "pacre",
+                 id="unknown-key"),
+    pytest.param("run", edit(SHORT, ["pacer"], "no"), "pacer", id="shorthand-pacer-str"),
+    pytest.param("run", edit(SHORT, ["jobs"], []), "jobs", id="shorthand-jobs"),
+    pytest.param("leakage", [1], "config: expected an object", id="leakage-list"),
+    pytest.param("leakage", edit(LEAK, ["seed"], "a"), "seed", id="leakage-seed-str"),
+    pytest.param("leakage", edit(LEAK, ["paced"], "no"), "paced",
+                 id="leakage-paced-str"),
+    pytest.param("leakage", edit(LEAK, ["short"], 1.5), "short",
+                 id="leakage-short-float"),
+    pytest.param("leakage", edit(LEAK, ["bogus"], 3), "bogus", id="leakage-unknown-key"),
+    pytest.param("leakage", edit(LEAK, ["frame"], 0), "frame", id="leakage-frame-0"),
+    pytest.param("expect", [1], "[0]", id="expect-item-int"),
+    pytest.param("expect", [{"occurrence": "x", "label": "{-/-}"}], "[0].occurrence",
+                 id="expect-occurrence-str"),
+    pytest.param("expect", [{"detail": [1], "label": "{-/-}"}], "[0].detail",
+                 id="expect-detail-list"),
+]
+
+
+@pytest.mark.parametrize("command,content,key", CONFIG_ERRORS)
+def test_config_errors_exit_2(command, content, key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        write(path, content)
+    if command == "expect":
+        argv = ["check-labels", "--config", write(tmp_path / "s.json", SHORT),
+                "--expect", str(path)]
+    else:
+        argv = [command, "--config", str(path)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_fatal_monitor_exit_3(tmp_path):
@@ -146,3 +240,80 @@ def test_unknown_flags_rejected(statmux_cfg):
     with pytest.raises(SystemExit) as err:
         main(["run", "--config", statmux_cfg, "--warp-speed"])
     assert err.value.code == 2
+
+
+# Any JSON value, or a valid config of each form with up to three of its
+# values replaced by any JSON value or removed: the latter reach the type and
+# range checks behind the unknown-key check.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats()
+    | st.sampled_from(["A", "A-B", "statmux", "shared", "demand", "1/5", "2/3",
+                       "inf", "01", "B-:1/5", "{-/-}", "MsgRecv"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+SMALL = {"scenario": "statmux", "f": "1/5", "horizon": 12}
+VALID = {
+    "run": [FULL, SMALL],
+    "leakage": [{"f": "1/5", "short": 1, "long": 3, "probe": 1, "frame": 5,
+                 "paced": True, "topology": "shared", "message_len": 64,
+                 "bitstring": None, "trials": 1, "horizon": 400, "seed": 3}],
+    "check-labels": [[{"kind": "PacerRelease", "entity": "pacer_A",
+                       "detail": {"msg": "res_A0"}, "occurrence": 0,
+                       "label": "{A/A:1/5,B:1/5}"}]],
+}
+
+
+@st.composite
+def mutated(draw, bases):
+    obj = json.loads(json.dumps(draw(st.sampled_from(bases))))
+    for _ in range(draw(st.integers(1, 3))):
+        slots, todo = [], [obj]
+        while todo:
+            node = todo.pop()
+            keys = node if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                slots.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    todo.append(node[key])
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(JSON)
+    return obj
+
+
+def passing_report(exp):
+    """A one-trial passing report, in place of a real campaign."""
+    trial = TrialResult(exp.seed, "", "", True, 0.0, 0, 0, Fraction(0), 0.0, 0)
+    return LeakageReport(exp, exp.bound, [trial])
+
+
+@pytest.mark.parametrize("command", ["run", "leakage", "check-labels"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_json_exits_0_or_2(command, data):
+    value = data.draw(JSON | mutated(VALID[command]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "cfg.json", value)
+        out = ["--out", str(Path(tmp) / "out")]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+                contextlib.redirect_stderr(io.StringIO()):
+            if command == "run":
+                # run accepts exactly what validate accepts
+                code = main(["validate", "--config", path])
+                assert code in (0, 2)
+                assert main(["run", "--config", path] + out) == code
+            elif command == "leakage":
+                with mock.patch("tifcsim.cli.measure", passing_report):
+                    assert main(["leakage", "--config", path] + out) in (0, 2)
+            else:
+                cfg = write(Path(tmp) / "s.json", SMALL)
+                code = main(["check-labels", "--config", cfg, "--expect", path])
+                # 1 only for a label mismatch that was reported as such
+                assert code in (0, 2) or (code == 1 and "FAIL" in stdout.getvalue())

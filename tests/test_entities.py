@@ -27,6 +27,10 @@ F15 = Frequency(1, 5)
 A_LABEL = Label(("A",), {"A": INFINITY})
 
 
+def denials(trace):
+    return [r for r in trace if r.kind is TraceKind.MONITOR_DENY]
+
+
 def make_core(users=("A",), fixed=None):
     sim = Engine()
     monitor = Monitor()
@@ -258,7 +262,7 @@ def test_egress_denies_unpaced_foreign_taint():
     decision = gw.egress(sim, msg("A0", Label.parse("{A/A:inf,B:inf}")))
     assert not decision.allowed
     assert decision.residual == ("B:inf",)
-    assert monitor.denials()[0].entity == "gw_A"
+    assert denials(sim.trace)[0].entity == "gw_A"
 
 
 def test_egress_own_taint_delivered_without_caps():
@@ -332,19 +336,19 @@ def test_demand_driven_hand_enumerated_schedule():
 
 def test_demand_feedback_denied_to_reservation_scheduler():
     cfg = build_scenario("reservation", horizon=3)
-    engine, monitor, parts = wire(cfg)
+    engine, monitor = wire(cfg)
     engine.run_until(2)
-    decision = offer_demand(engine, monitor, parts["core"], parts["sched"])
+    decision = offer_demand(engine, monitor, engine.entity("core"), engine.entity("sched"))
     assert not decision.allowed
     assert set(decision.residual) == {"A", "B", "A:inf", "B:inf"}
-    assert monitor.denials()[-1].entity == "sched"
+    assert denials(engine.trace)[-1].entity == "sched"
 
 
 def test_demand_feedback_allowed_to_demand_scheduler():
     cfg = build_scenario("statmux", freq=F15, horizon=3)
-    engine, monitor, parts = wire(cfg)
+    engine, monitor = wire(cfg)
     engine.run_until(2)
-    decision = offer_demand(engine, monitor, parts["core"], parts["sched"])
+    decision = offer_demand(engine, monitor, engine.entity("core"), engine.entity("sched"))
     assert decision.allowed
 
 
@@ -352,17 +356,17 @@ def test_high_label_scheduler_cannot_message_customers():
     # the demand scheduler carries every tenant's content taint, so the
     # monitor bars it from sending anything to a single customer
     cfg = build_scenario("statmux", freq=F15, horizon=3)
-    engine, monitor, parts = wire(cfg)
-    sched = parts["sched"]
+    engine, monitor = wire(cfg)
+    sched = engine.entity("sched")
     for gw_id in ("gw_A", "gw_B"):
-        gw = parts[gw_id]
+        gw = engine.entity(gw_id)
         decision = monitor.decide(
             engine, at=gw.id, src=sched.id, dst=f"user_{gw.owner}",
             src_label=sched.label, caps=gw.caps, dst_label=gw.accept_label,
         )
         assert not decision.allowed
     # while the trusted shared-core control logic may receive it
-    core = parts["core"]
+    core = engine.entity("core")
     from tifcsim.labels import EMPTY_CAPS
     from tifcsim.monitor import check_send
     assert check_send(sched.label, EMPTY_CAPS, core.clearance).allowed

@@ -119,14 +119,21 @@ def test_monitor_records_allow_and_deny():
     bad = _decide(monitor, sim, Label.parse("{A/A:inf,B:inf}"),
                   CapabilitySet([Capability("B", F15)]), Label.parse("{A/A:inf}"))
     assert ok.allowed and not bad.allowed
-    log = monitor.audit_log()
+    log = sim.trace  # the trace is the audit log
     assert [r.kind for r in log] == [TraceKind.MONITOR_ALLOW, TraceKind.MONITOR_DENY]
     assert log[1].detail["residual"] == "B:inf"
-    assert monitor.denials() == (log[1],)
+    assert [r for r in log if r.kind is TraceKind.MONITOR_DENY] == [log[1]]
 
 
 def test_monitor_empty_audit_log():
-    assert Monitor().audit_log() == ()
+    # nothing is recorded before a decision, and decision records are
+    # bounded by trace_limit like every other record
+    sim = Engine(trace_limit=2)
+    monitor = Monitor()
+    assert sim.trace == ()
+    for _ in range(3):
+        _decide(monitor, sim, EMPTY_LABEL, EMPTY_CAPS, EMPTY_LABEL)
+    assert len(sim.trace) == 2
 
 
 def test_fatal_mode_raises_with_record():
