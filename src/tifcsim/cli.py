@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .kernel import ConfigError, MonitorFault, TraceRecord
+from .kernel import ConfigError, MonitorFault, TraceRecord, trace_to_jsonl
 from .leakage import CovertExperiment, measure
 from .scenarios import (
     ScenarioConfig,
@@ -77,7 +77,7 @@ def _resolve_seed(args) -> Optional[int]:
 def _write_trace(trace: List[TraceRecord], out: Path, fmt: str) -> Path:
     if fmt == "jsonl":
         path = out / "trace.jsonl"
-        path.write_text("".join(r.to_json() + "\n" for r in trace), encoding="utf-8")
+        path.write_text(trace_to_jsonl(trace), encoding="utf-8")
     elif fmt == "csv":
         path = out / "trace.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:

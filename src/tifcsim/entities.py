@@ -12,6 +12,7 @@ which is what the labels track.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -62,6 +63,17 @@ def check_bits(bits: str, name: str = "payload") -> str:
     return bits
 
 
+@dataclass(frozen=True)
+class JobSpec:
+    """A customer's job request: what arrives at the owner's gateway."""
+
+    owner: str
+    work: int
+    payload: str = ""
+    arrival: int = 0
+    demand_visible: bool = True
+
+
 @dataclass
 class Job:
     """One compute job: an owner, a slice budget, and secret payload bits."""
@@ -83,22 +95,11 @@ class Job:
 
 
 @dataclass(frozen=True)
-class JobRequest:
-    owner: str
-    work: int
-    payload_bits: str
-    job_id: str
-    demand_visible: bool = True
-
-
-@dataclass(frozen=True)
 class Message:
     payload: str
     label: Label
-    channel: Channel
     msg_id: str
     owner: str
-    sent_at: int
 
 
 def max_label(users: Iterable[str]) -> Label:
@@ -136,36 +137,24 @@ class Gateway(Entity):
 
     def handle(self, sim: Engine, payload: tuple) -> None:
         if payload[0] == "arrive":
-            self.ingress(sim, payload[1])
+            self.ingress(sim, payload[1], payload[2])
         elif payload[0] == "result":
             self.egress(sim, payload[1])
 
-    def ingress(self, sim: Engine, request: JobRequest) -> Job:
-        if request.owner != self.owner:
-            raise ConfigError(
-                f"{self.id} cannot accept a request from {request.owner!r}"
-            )
-        job = Job(
-            job_id=request.job_id,
-            owner=request.owner,
-            work=request.work,
-            payload_bits=request.payload_bits,
-            label=self.stamp,
-            demand_visible=request.demand_visible,
-        )
+    def ingress(self, sim: Engine, spec: JobSpec, job_id: str) -> Job:
+        """Stamp the owner's job and send it to the core's slot."""
+        if spec.owner != self.owner:
+            raise ConfigError(f"{self.id} cannot accept a request from {spec.owner!r}")
+        assert self.core is not None, "gateway not wired to a core"
+        if spec.owner not in self.core.slots:
+            raise ConfigError(f"{self.core.id} has no slot for {spec.owner!r}")
+        job = Job(job_id, spec.owner, spec.work, spec.payload, self.stamp,
+                  spec.demand_visible)
         sim.emit(TraceKind.JOB_ARRIVE, self.id, label=job.label,
                  job=job.job_id, owner=job.owner, work=job.work)
-        assert self.core is not None, "gateway not wired to a core"
-        msg_id = f"job_{job.job_id}"
-        sim.emit(TraceKind.MSG_SEND, self.id, label=job.label,
-                 msg=msg_id, to=self.core.id)
-        decision = self.monitor.decide(
-            sim, at=self.core.id, src=self.id, dst=self.core.id,
-            src_label=job.label, caps=EMPTY_CAPS,
-            dst_label=self.core.clearance, msg=msg_id,
-        )
-        if decision.allowed:
-            self.core.receive_job(sim, job, msg_id)
+        if self.monitor.send(sim, self, self.core, job.label, f"job_{job_id}",
+                             received={"owner": job.owner}).allowed:
+            self.core.slots[job.owner].append(job)
         return job
 
     def egress(self, sim: Engine, msg: Message) -> FlowDecision:
@@ -176,8 +165,7 @@ class Gateway(Entity):
         )
         if decision.allowed:
             sim.emit(TraceKind.MSG_RECV, self.id, label=msg.label,
-                     msg=msg.msg_id, to=self.owner, payload=msg.payload,
-                     sent_at=msg.sent_at)
+                     msg=msg.msg_id, to=self.owner, payload=msg.payload)
         return decision
 
 
@@ -204,18 +192,10 @@ class ComputeCore(Entity):
         self.monitor = monitor
         self.fixed_user = fixed_user
         self.slots: Dict[str, Deque[Job]] = {u: deque() for u in self.users}
-        self.clearance = max_label(self.users)
-        self.demand_label = max_label(self.users)
+        # Demand derives from every user's jobs: the core's full label.
+        self.clearance = self.demand_label = max_label(self.users)
         self.routes: Dict[str, Union["Pacer", Gateway]] = {}
-        self._command: Optional[Tuple[int, str]] = None
         self._last_slice_tick = -1
-
-    def receive_job(self, sim: Engine, job: Job, msg_id: str) -> None:
-        if job.owner not in self.slots:
-            raise ConfigError(f"{self.id} has no slot for {job.owner!r}")
-        sim.emit(TraceKind.MSG_RECV, self.id, label=job.label,
-                 msg=msg_id, owner=job.owner)
-        self.slots[job.owner].append(job)
 
     def demand_snapshot(self) -> Dict[str, bool]:
         """Per-user boolean: any visible queued or running work."""
@@ -223,15 +203,8 @@ class ComputeCore(Entity):
             u: any(j.demand_visible for j in q) for u, q in self.slots.items()
         }
 
-    def receive_control(self, sim: Engine, user: str, ctrl_label: Label,
-                        msg_id: str) -> None:
-        sim.emit(TraceKind.MSG_RECV, self.id, label=ctrl_label,
-                 msg=msg_id, user=user)
-        self._taint_jobs(sim, ctrl_label)
-        self._command = (sim.now, user)
-        sim.schedule(sim.now, self, ("slice",))
-
-    def _taint_jobs(self, sim: Engine, ctrl_label: Label) -> None:
+    def taint_jobs(self, sim: Engine, ctrl_label: Label) -> None:
+        """Join a control message's label into every queued job's timing."""
         for queue in self.slots.values():
             for job in queue:
                 tainted = apply_receive(job.label, ctrl_label, Channel.TIMING_ONLY)
@@ -241,13 +214,13 @@ class ComputeCore(Entity):
                              job=job.job_id, owner=job.owner)
 
     def handle(self, sim: Engine, payload: tuple) -> None:
+        """``("slice", user)``: run one slice of ``user``'s work. A private
+        core re-arms its own slice for the next tick."""
         if payload[0] != "slice":
             return
+        self.run_slice(sim, payload[1])
         if self.fixed_user is not None:
-            self.run_slice(sim, self.fixed_user)
-            sim.schedule(sim.now + 1, self, ("slice",))
-        elif self._command is not None and self._command[0] == sim.now:
-            self.run_slice(sim, self._command[1])
+            sim.schedule(sim.now + 1, self, payload)
 
     def run_slice(self, sim: Engine, user: str) -> None:
         if user not in self.slots:
@@ -269,30 +242,18 @@ class ComputeCore(Entity):
             digest = result_payload(job.payload_bits)
             sim.emit(TraceKind.JOB_COMPLETE, self.id, label=job.label,
                      job=job.job_id, owner=user, result=digest)
-            msg = Message(
-                payload=digest,
-                label=job.label,
-                channel=Channel.CONTENT,
-                msg_id=f"res_{job.job_id}",
-                owner=user,
-                sent_at=sim.now,
-            )
-            self._send_result(sim, msg)
+            self._send_result(sim, Message(digest, job.label, f"res_{job.job_id}", user))
 
     def _send_result(self, sim: Engine, msg: Message) -> None:
         target = self.routes[msg.owner]
-        sim.emit(TraceKind.MSG_SEND, self.id, label=msg.label,
-                 msg=msg.msg_id, to=target.id)
         if isinstance(target, Pacer):
-            decision = self.monitor.decide(
-                sim, at=target.id, src=self.id, dst=target.id,
-                src_label=msg.label, caps=EMPTY_CAPS,
-                dst_label=target.clearance, msg=msg.msg_id,
-            )
-            if decision.allowed:
-                target.enqueue(sim, msg)
+            if self.monitor.send(sim, self, target, msg.label, msg.msg_id,
+                                 received={"queued": len(target.queue) + 1}).allowed:
+                target.queue.append(msg)
         else:
             # Gateway route: the egress decision is the guard.
+            sim.emit(TraceKind.MSG_SEND, self.id, label=msg.label,
+                     msg=msg.msg_id, to=target.id)
             sim.schedule(sim.now, target, ("result", msg))
 
 
@@ -312,7 +273,6 @@ class Pacer(Entity):
         owner: str,
         freq: Frequency,
         users: Sequence[str],
-        monitor: Monitor,
         downstream: Gateway,
         first_tick: Optional[int] = None,
     ):
@@ -320,39 +280,22 @@ class Pacer(Entity):
         self.owner = owner
         self.freq = freq
         self.period, self.first_tick = pacer_clock(freq, first_tick)
-        self.monitor = monitor
         self.downstream = downstream
         self.clearance = Label((owner,), {u: INFINITY for u in users})
         self.queue: Deque[Message] = deque()
 
-    def enqueue(self, sim: Engine, msg: Message) -> None:
-        sim.emit(TraceKind.MSG_RECV, self.id, label=msg.label,
-                 msg=msg.msg_id, queued=len(self.queue) + 1)
-        self.queue.append(msg)
-
     def handle(self, sim: Engine, payload: tuple) -> None:
+        """On each clock tick, release the head message, if any, with
+        downgraded timing tags."""
         if payload[0] != "tick":
             return
-        self.tick(sim)
+        if self.queue:
+            msg = self.queue.popleft()
+            released = dataclasses.replace(msg, label=msg.label.pace_down(self.freq))
+            sim.emit(TraceKind.PACER_RELEASE, self.id, label=released.label,
+                     msg=released.msg_id, queued=len(self.queue))
+            sim.schedule(sim.now, self.downstream, ("result", released))
         sim.schedule(sim.now + self.period, self, ("tick",))
-
-    def tick(self, sim: Engine) -> Optional[Message]:
-        """Release the head message, if any, with downgraded timing tags."""
-        if not self.queue:
-            return None
-        msg = self.queue.popleft()
-        released = Message(
-            payload=msg.payload,
-            label=msg.label.pace_down(self.freq),
-            channel=msg.channel,
-            msg_id=msg.msg_id,
-            owner=msg.owner,
-            sent_at=msg.sent_at,
-        )
-        sim.emit(TraceKind.PACER_RELEASE, self.id, label=released.label,
-                 msg=released.msg_id, queued=len(self.queue))
-        sim.schedule(sim.now, self.downstream, ("result", released))
-        return released
 
 
 def offer_demand(sim: Engine, monitor: Monitor, core: ComputeCore,
@@ -362,18 +305,7 @@ def offer_demand(sim: Engine, monitor: Monitor, core: ComputeCore,
     Demand derives from every customer's job state, so the message carries
     all users' taint; an empty-labeled scheduler must be denied it.
     """
-    msg_id = f"demand@{sim.now}"
-    sim.emit(TraceKind.MSG_SEND, core.id, label=core.demand_label,
-             msg=msg_id, to=scheduler.id)
-    decision = monitor.decide(
-        sim, at=scheduler.id, src=core.id, dst=scheduler.id,
-        src_label=core.demand_label, caps=EMPTY_CAPS,
-        dst_label=scheduler.clearance, msg=msg_id,
-    )
-    if decision.allowed:
-        sim.emit(TraceKind.MSG_RECV, scheduler.id, label=core.demand_label,
-                 msg=msg_id)
-    return decision
+    return monitor.send(sim, core, scheduler, core.demand_label, f"demand@{sim.now}")
 
 
 class Scheduler(Entity):
@@ -401,16 +333,13 @@ class Scheduler(Entity):
         sim.schedule(sim.now + 1, self, ("tick",))
 
     def send_control(self, sim: Engine, user: str) -> None:
-        msg_id = f"ctl@{sim.now}"
-        sim.emit(TraceKind.MSG_SEND, self.id, label=self.label,
-                 msg=msg_id, user=user, to=self.core.id)
-        decision = self.monitor.decide(
-            sim, at=self.core.id, src=self.id, dst=self.core.id,
-            src_label=self.label, caps=EMPTY_CAPS,
-            dst_label=self.core.clearance, msg=msg_id,
-        )
-        if decision.allowed:
-            self.core.receive_control(sim, user, self.label, msg_id)
+        """Tell the core whose slice this tick is; the control message
+        taints the core's jobs with this scheduler's timing."""
+        named = {"user": user}
+        if self.monitor.send(sim, self, self.core, self.label, f"ctl@{sim.now}",
+                             sent=named, received=named).allowed:
+            self.core.taint_jobs(sim, self.label)
+            sim.schedule(sim.now, self.core, ("slice", user))
 
 
 class ReservationScheduler(Scheduler):

@@ -194,7 +194,7 @@ def build_config(exp: CovertExperiment, bits: str, seed: int) -> ScenarioConfig:
         jobs=jobs,
         horizon=exp.horizon,
         seed=seed,
-    ).validate()
+    )
 
 
 def model_latency(exp: CovertExperiment, sender_work: int) -> int:
@@ -214,7 +214,6 @@ class Framing:
     frames: int
     threshold: float
     max_latency: int
-    start: int = 0
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ def decode_from_releases(release_ticks: Sequence[Optional[int]],
     for i, tick in enumerate(release_ticks):
         if tick is None:
             return DecodeResult("", False, f"no delivery for frame {i}")
-        latency = tick - (framing.start + i * framing.frame_ticks)
+        latency = tick - i * framing.frame_ticks
         if latency < 0 or latency > framing.max_latency:
             return DecodeResult("", False,
                                 f"frame {i} latency {latency} out of range")

@@ -4,16 +4,19 @@ A send is allowed iff the source label, after automatically applying every
 held capability, flows to the destination label. Receiving tainted data
 raises the receiver's label: content-channel messages join in their full
 label, timing-only messages join in only the lifted (pure-timing) form.
+
+``Monitor.send`` is the one checked send between entities; only the
+customer-facing gateway egress decides with capabilities of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from typing import Mapping, Optional, Tuple
 
-from .kernel import Engine, MonitorFault, TraceKind
-from .labels import CapabilitySet, Label
+from .kernel import Engine, Entity, MonitorFault, TraceKind
+from .labels import EMPTY_CAPS, CapabilitySet, Label
 
 
 class Channel(Enum):
@@ -95,4 +98,20 @@ class Monitor:
         )
         if not decision.allowed and self.mode is MonitorMode.FATAL:
             raise MonitorFault(f"flow denied at {at}: {record.detail['residual']}", record)
+        return decision
+
+    def send(self, sim: Engine, src: Entity, dst: Entity, label: Label, msg: str,
+             sent: Optional[Mapping[str, object]] = None,
+             received: Optional[Mapping[str, object]] = None) -> FlowDecision:
+        """Mediate one message: MsgSend at ``src``, the decision at ``dst``
+        against ``dst.clearance`` with no capabilities, and MsgRecv at
+        ``dst`` when allowed. ``sent`` and ``received`` add detail to the
+        two records; the caller delivers the message on allow."""
+        sim.emit(TraceKind.MSG_SEND, src.id, label=label, msg=msg, to=dst.id,
+                 **(sent or {}))
+        decision = self.decide(sim, at=dst.id, src=src.id, dst=dst.id, src_label=label,
+                               caps=EMPTY_CAPS, dst_label=dst.clearance, msg=msg)
+        if decision.allowed:
+            sim.emit(TraceKind.MSG_RECV, dst.id, label=label, msg=msg,
+                     **(received or {}))
         return decision

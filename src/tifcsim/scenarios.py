@@ -22,7 +22,7 @@ from .entities import (
     ComputeCore,
     DemandScheduler,
     Gateway,
-    JobRequest,
+    JobSpec,
     Pacer,
     ReservationScheduler,
     Scheduler,
@@ -32,15 +32,6 @@ from .entities import (
 from .kernel import ConfigError, Engine, Phase, TraceKind, TraceRecord
 from .labels import INFINITY, TAG_RE, Capability, CapabilitySet, Frequency, Label
 from .monitor import Monitor, MonitorMode
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    owner: str
-    work: int
-    payload: str = ""
-    arrival: int = 0
-    demand_visible: bool = True
 
 
 @dataclass(frozen=True)
@@ -66,6 +57,9 @@ class ScenarioConfig:
     horizon: int = 200
     seed: int = 0
     monitor_mode: MonitorMode = MonitorMode.RECORD_AND_DROP
+
+    def __post_init__(self) -> None:
+        self.validate()  # valid by construction, ``dataclasses.replace`` too
 
     def validate(self) -> "ScenarioConfig":
         _check_users(self.users)
@@ -142,12 +136,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "ScenarioConfig":
-        """Read and validate the full form, or the shorthand
+        """Read the full form, or the shorthand
         ``{"scenario": kind, "f": ..., "pacer": bool, ...}`` that
         ``build_scenario`` expands."""
         if isinstance(obj, dict) and "scenario" in obj:
             return _read_shorthand(obj, "config")
-        return _read_full(obj, "config").validate()
+        return _read_full(obj, "config")
 
 
 def _whole(value: object, least: int) -> bool:
@@ -274,7 +268,7 @@ def build_scenario(
     if jobs is None:
         jobs = tuple(j for j in DEFAULT_JOBS if j.owner in users)
     return ScenarioConfig(users=users, jobs=tuple(jobs), horizon=horizon, seed=seed,
-                          monitor_mode=monitor_mode, **topology).validate()
+                          monitor_mode=monitor_mode, **topology)
 
 
 _USERS = list_of(STR)
@@ -309,9 +303,8 @@ class ScenarioRun:
 
 
 def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor]:
-    """Instantiate entities for a validated config and schedule the initial
-    events (arrivals, scheduler/core ticks, pacer clock)."""
-    cfg.validate()
+    """Instantiate entities for a config and schedule the initial events
+    (arrivals, scheduler/core ticks, pacer clock)."""
     engine = Engine(sink=sink)
     monitor = Monitor(cfg.monitor_mode)
 
@@ -331,7 +324,7 @@ def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor]:
         for u in cfg.users:
             core = engine.add(ComputeCore(f"core_{u}", (u,), monitor, fixed_user=u))
             cores[u] = core
-            engine.schedule(0, core, ("slice",))
+            engine.schedule(0, core, ("slice", u))
 
     for u in cfg.users:
         gateways[u].core = cores[u]
@@ -339,7 +332,7 @@ def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor]:
     if cfg.pacer is not None:
         for u in cfg.users:
             pacer = engine.add(
-                Pacer(u, cfg.pacer.freq, cfg.users, monitor, gateways[u],
+                Pacer(u, cfg.pacer.freq, cfg.users, gateways[u],
                       first_tick=cfg.pacer.first_tick)
             )
             cores[u].routes[u] = pacer
@@ -361,14 +354,7 @@ def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor]:
     for spec in cfg.jobs:
         job_id = f"{spec.owner}{counters[spec.owner]}"
         counters[spec.owner] += 1
-        request = JobRequest(
-            owner=spec.owner,
-            work=spec.work,
-            payload_bits=spec.payload,
-            job_id=job_id,
-            demand_visible=spec.demand_visible,
-        )
-        engine.schedule(spec.arrival, gateways[spec.owner], ("arrive", request),
+        engine.schedule(spec.arrival, gateways[spec.owner], ("arrive", spec, job_id),
                         phase=Phase.ARRIVAL)
     return engine, monitor
 
@@ -578,17 +564,12 @@ class PairedRunReport:
         return "\n".join(lines)
 
 
-def run_paired(
-    cfg: ScenarioConfig,
-    short_work: int,
-    long_work: int,
-    vary_user: Optional[str] = None,
-) -> PairedRunReport:
-    """Run with the varied user's jobs at ``short_work`` then ``long_work``
+def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRunReport:
+    """Run with the second user's jobs at ``short_work`` then ``long_work``
     slices and diff the first user's gateway deliveries."""
     if short_work == long_work:
         raise ConfigError("paired runs need distinct short and long work")
-    vary = vary_user if vary_user is not None else cfg.users[min(1, len(cfg.users) - 1)]
+    vary = cfg.users[min(1, len(cfg.users) - 1)]
 
     def with_work(work: int) -> ScenarioConfig:
         jobs = tuple(
@@ -597,8 +578,9 @@ def run_paired(
         )
         return dataclasses.replace(cfg, jobs=jobs)
 
-    run_short = run_scenario(with_work(short_work))
-    run_long = run_scenario(with_work(long_work))
+    cfg_short, cfg_long = with_work(short_work), with_work(long_work)
+    run_short = run_scenario(cfg_short)
+    run_long = run_scenario(cfg_long)
 
     observer = cfg.users[0]
     short_view = [r.to_json() for r in boundary_records(run_short.trace, observer)]
@@ -611,8 +593,8 @@ def run_paired(
             diff.append({"index": i, "short": s, "long": l})
 
     kind = cfg.classify()
-    checks = assert_labels(run_short.trace, default_label_expectations(with_work(short_work)))
-    checks += assert_labels(run_long.trace, default_label_expectations(with_work(long_work)))
+    checks = assert_labels(run_short.trace, default_label_expectations(cfg_short))
+    checks += assert_labels(run_long.trace, default_label_expectations(cfg_long))
 
     boundary_ok: Optional[bool] = None
     if cfg.pacer is not None:
@@ -641,8 +623,7 @@ def run_paired(
 # -- ASCII schedule chart -----------------------------------------------------
 
 
-def render_schedule(trace: Sequence[TraceRecord], cfg: ScenarioConfig,
-                    width: Optional[int] = None) -> str:
+def render_schedule(trace: Sequence[TraceRecord], cfg: ScenarioConfig) -> str:
     """Rows of core occupancy per user plus delivery marks per gateway.
 
     '#'-cells are executed slices, 'R' marks a delivery reaching the
@@ -667,7 +648,7 @@ def render_schedule(trace: Sequence[TraceRecord], cfg: ScenarioConfig,
     drawn += [t for ts in deliveries.values() for t in ts]
     drawn += [t for ts in denials.values() for t in ts]
     last = max(drawn, default=0)
-    width = width if width is not None else min(cfg.horizon, last + 2)
+    width = min(cfg.horizon, last + 2)
 
     def row(marks: Mapping[int, str]) -> str:
         return "".join(marks.get(t, ".") for t in range(width))

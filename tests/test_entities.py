@@ -4,18 +4,18 @@ from tifcsim.entities import (
     ComputeCore,
     Gateway,
     Job,
-    JobRequest,
+    JobSpec,
     Message,
     Pacer,
+    Scheduler,
     check_process_label,
     offer_demand,
     result_payload,
 )
 from tifcsim.kernel import ConfigError, Engine, SimError, TraceKind
 from tifcsim.labels import INFINITY, Capability, CapabilitySet, Frequency, Label
-from tifcsim.monitor import Channel, Monitor
+from tifcsim.monitor import Monitor
 from tifcsim.scenarios import (
-    JobSpec,
     ScenarioConfig,
     SchedulerSpec,
     build_scenario,
@@ -113,15 +113,21 @@ def test_one_slice_per_tick():
 
 
 def test_control_taint_is_timing_only_and_recorded():
-    sim, _, core, _ = make_core(users=("A", "B"))
+    sim, monitor, core, _ = make_core(users=("A", "B"))
     core.slots["A"].append(job())
     sched_label = Label(("A", "B"), {"A": INFINITY, "B": INFINITY})
-    core.receive_control(sim, "A", sched_label, "ctl@0")
+    sched = sim.add(Scheduler("sched", core, monitor, sched_label))
+    sched.send_control(sim, "A")
     j = core.slots["A"][0]
     assert j.label == Label.parse("{A/A:inf,B:inf}")
     trace = sim.run_until(0)
-    changes = [r for r in trace if r.kind is TraceKind.LABEL_CHANGE]
-    assert len(changes) == 1 and changes[0].label == j.label
+    assert [(r.kind, r.entity) for r in trace] == [
+        (TraceKind.MSG_SEND, "sched"), (TraceKind.MONITOR_ALLOW, "core"),
+        (TraceKind.MSG_RECV, "core"), (TraceKind.LABEL_CHANGE, "core"),
+        (TraceKind.SLICE_START, "core"), (TraceKind.SLICE_END, "core")]
+    assert trace[2].detail == {"msg": "ctl@0", "user": "A"}
+    assert trace[3].label == j.label
+    assert trace[4].detail["owner"] == "A"  # the named user's slice runs
 
 
 def test_queued_jobs_run_fifo_within_a_slot():
@@ -155,20 +161,34 @@ def make_pacer(freq=F15, first_tick=None):
     monitor = Monitor()
     gw = sim.add(Gateway("A", ("A", "B"), monitor,
                          CapabilitySet([Capability("B", freq)])))
-    pacer = sim.add(Pacer("A", freq, ("A", "B"), monitor, gw,
+    pacer = sim.add(Pacer("A", freq, ("A", "B"), gw,
                           first_tick=first_tick))
     sim.schedule(pacer.first_tick, pacer, ("tick",))
     return sim, pacer, gw
 
 
 def msg(jid, label):
-    return Message(result_payload("1"), label, Channel.CONTENT,
-                   f"res_{jid}", "A", 0)
+    return Message(result_payload("1"), label, f"res_{jid}", "A")
+
+
+def test_core_result_enters_pacer_through_checked_send():
+    sim, monitor, core, gws = make_core(users=("A", "B"))
+    pacer = sim.add(Pacer("A", F15, ("A", "B"), gws["A"]))
+    core.routes["A"] = pacer
+    pacer.queue.append(msg("X0", A_LABEL))
+    core.slots["A"].append(job(work=1))
+    core.run_slice(sim, "A")
+    sends = [r for r in sim.trace if r.detail.get("msg") == "res_A0"]
+    assert [(r.kind, r.entity) for r in sends] == [
+        (TraceKind.MSG_SEND, "core"), (TraceKind.MONITOR_ALLOW, "pacer_A"),
+        (TraceKind.MSG_RECV, "pacer_A")]
+    assert sends[2].detail["queued"] == "2"
+    assert [m.msg_id for m in pacer.queue] == ["res_X0", "res_A0"]
 
 
 def test_pacer_downgrades_released_labels():
     sim, pacer, _ = make_pacer()
-    pacer.enqueue(sim, msg("A0", Label.parse("{A/A:inf,B:inf}")))
+    pacer.queue.append(msg("A0", Label.parse("{A/A:inf,B:inf}")))
     trace = sim.run_until(6)
     releases = [r for r in trace if r.kind is TraceKind.PACER_RELEASE]
     assert len(releases) == 1
@@ -180,7 +200,7 @@ def test_pacer_releases_fifo_one_per_period():
     # three messages queued before the first tick drain over three periods
     sim, pacer, _ = make_pacer()
     for i in range(3):
-        pacer.enqueue(sim, msg(f"A{i}", Label.parse("{A/A:inf}")))
+        pacer.queue.append(msg(f"A{i}", Label.parse("{A/A:inf}")))
     trace = sim.run_until(30)
     releases = [r for r in trace if r.kind is TraceKind.PACER_RELEASE]
     assert [(r.t, r.detail["msg"]) for r in releases] == [
@@ -196,7 +216,7 @@ def test_pacer_empty_tick_releases_nothing():
 def test_pacer_release_times_on_phase_grid():
     sim, pacer, _ = make_pacer(first_tick=3)
     for i in range(4):
-        pacer.enqueue(sim, msg(f"A{i}", Label.parse("{A/A:inf}")))
+        pacer.queue.append(msg(f"A{i}", Label.parse("{A/A:inf}")))
     trace = sim.run_until(40)
     ticks = [r.t for r in trace if r.kind is TraceKind.PACER_RELEASE]
     assert ticks == [3, 8, 13, 18]
@@ -209,8 +229,8 @@ def test_pacer_frequency_must_be_reciprocal_ticks():
     gw = Gateway("A", ("A",), monitor)
     for bad in (Frequency(2, 3), Frequency(2), INFINITY, Frequency(0)):
         with pytest.raises(ConfigError):
-            Pacer("A", bad, ("A",), monitor, gw)
-    assert Pacer("A", Frequency(1), ("A",), monitor, gw).period == 1
+            Pacer("A", bad, ("A",), gw)
+    assert Pacer("A", Frequency(1), ("A",), gw).period == 1
 
 
 # -- gateway --------------------------------------------------------------------------
@@ -218,7 +238,7 @@ def test_pacer_frequency_must_be_reciprocal_ticks():
 
 def test_ingress_stamps_owner_label():
     sim, monitor, core, gws = make_core()
-    j = gws["A"].ingress(sim, JobRequest("A", 2, "11", "A0"))
+    j = gws["A"].ingress(sim, JobSpec("A", 2, "11"), "A0")
     assert j.label == Label.parse("{A/A:inf}")
     trace = sim.run_until(0)
     kinds = [r.kind for r in trace]
@@ -230,13 +250,22 @@ def test_ingress_stamps_owner_label():
 def test_ingress_rejects_cross_customer_submission():
     sim, _, _, gws = make_core()
     with pytest.raises(ConfigError):
-        gws["A"].ingress(sim, JobRequest("B", 2, "11", "B0"))
+        gws["A"].ingress(sim, JobSpec("B", 2, "11"), "B0")
+
+
+def test_ingress_to_core_without_owner_slot_is_config_fault():
+    sim, monitor, core, _ = make_core(users=("A",))
+    stray = sim.add(Gateway("B", ("A", "B"), monitor))
+    stray.core = core
+    with pytest.raises(ConfigError):
+        stray.ingress(sim, JobSpec("B", 2, "11"), "B0")
+    assert sim.trace == ()
 
 
 def test_ingress_gives_independent_labels():
     sim, _, core, gws = make_core()
-    j1 = gws["A"].ingress(sim, JobRequest("A", 2, "11", "A0"))
-    j2 = gws["A"].ingress(sim, JobRequest("A", 9, "00", "A1"))
+    j1 = gws["A"].ingress(sim, JobSpec("A", 2, "11"), "A0")
+    j2 = gws["A"].ingress(sim, JobSpec("A", 9, "00"), "A1")
     assert j1.label == j2.label and j1 is not j2
 
 

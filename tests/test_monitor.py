@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from tifcsim.kernel import Engine, MonitorFault, TraceKind
+from tifcsim.entities import (
+    ComputeCore,
+    Gateway,
+    Job,
+    JobSpec,
+    Pacer,
+    Scheduler,
+    offer_demand,
+)
+from tifcsim.kernel import Engine, Entity, MonitorFault, TraceKind
 from tifcsim.labels import (
     EMPTY_CAPS,
     EMPTY_LABEL,
@@ -151,3 +160,110 @@ def test_timing_infinite_capability_acts_like_content_in_flows():
     src = Label.parse("{A,B/A:inf,B:inf}")
     dst = Label.parse("{A/A:inf}")
     assert check_send(src, caps_inf, dst) == check_send(src, caps_content, dst)
+
+
+# -- the checked send ---------------------------------------------------------------
+
+
+class Node(Entity):
+    def __init__(self, entity_id, clearance):
+        super().__init__(entity_id)
+        self.clearance = clearance
+
+
+def kinds_at(records):
+    return [(r.kind, r.entity) for r in records]
+
+
+def test_send_allowed_records_send_decision_receive():
+    sim = Engine()
+    src = sim.add(Node("src", EMPTY_LABEL))
+    dst = sim.add(Node("dst", Label.parse("{A/A:inf}")))
+    label = Label.parse("{A/A:inf}")
+    d = Monitor().send(sim, src, dst, label, "m0", sent={"user": "A"},
+                       received={"queued": 1})
+    assert d.allowed
+    assert kinds_at(sim.trace) == [(TraceKind.MSG_SEND, "src"),
+                                   (TraceKind.MONITOR_ALLOW, "dst"),
+                                   (TraceKind.MSG_RECV, "dst")]
+    send, allow, recv = sim.trace
+    assert send.detail == {"msg": "m0", "to": "dst", "user": "A"}
+    assert allow.detail["src"] == "src" and allow.detail["dst_label"] == "{A/A:inf}"
+    assert recv.detail == {"msg": "m0", "queued": "1"}
+    assert send.label == allow.label == recv.label == label
+
+
+def test_send_decides_without_capabilities():
+    # a capability the sender's gateway holds does not help a checked send
+    sim = Engine()
+    src = sim.add(Node("src", EMPTY_LABEL))
+    dst = sim.add(Node("dst", Label.parse("{A/A:inf}")))
+    d = Monitor().send(sim, src, dst, Label.parse("{A/A:inf,B:1/5}"), "m0")
+    assert not d.allowed and d.residual == ("B:1/5",)
+
+
+def _core(users=("A", "B")):
+    sim = Engine()
+    monitor = Monitor()
+    core = sim.add(ComputeCore("core", users, monitor))
+    return sim, monitor, core
+
+
+def _deny_ingress():
+    sim, monitor, core = _core()
+    core.clearance = Label.parse("{B/A:inf,B:inf}")  # not cleared for A's content
+    gw = sim.add(Gateway("A", ("A", "B"), monitor))
+    gw.core = core
+    gw.ingress(sim, JobSpec("A", 2, "1"), "A0")
+    return sim, ("gw_A", "core"), lambda: not any(core.slots.values())
+
+
+def _deny_result_to_pacer():
+    sim, monitor, core = _core()
+    gw = sim.add(Gateway("A", ("A",), monitor))
+    pacer = sim.add(Pacer("A", Frequency(1, 5), ("A",), gw))  # B not cleared
+    core.routes["A"] = pacer
+    core.slots["A"].append(Job("A0", "A", 1, "1", Label.parse("{A/A:inf,B:inf}")))
+    core.run_slice(sim, "A")
+    return sim, ("core", "pacer_A"), lambda: not pacer.queue
+
+
+def _deny_demand():
+    sim, monitor, core = _core()
+    sched = sim.add(Scheduler("sched", core, monitor, EMPTY_LABEL))
+    offer_demand(sim, monitor, core, sched)
+    return sim, ("core", "sched"), lambda: sched.label == EMPTY_LABEL
+
+
+def _deny_control():
+    sim, monitor, core = _core()
+    job = Job("A0", "A", 2, "1", Label.parse("{A/A:inf}"))
+    core.slots["A"].append(job)
+    sched = sim.add(Scheduler("sched", core, monitor, Label.parse("{C/C:inf}")))
+    sched.send_control(sim, "A")
+    sim.run_until(0)  # a slice would have been scheduled for now
+    return sim, ("sched", "core"), lambda: (
+        job.label == Label.parse("{A/A:inf}") and job.remaining == 2)
+
+
+@pytest.mark.parametrize("flow", [_deny_ingress, _deny_result_to_pacer,
+                                  _deny_demand, _deny_control])
+def test_send_denied_records_send_and_deny_and_delivers_nothing(flow):
+    sim, (src, dst), unchanged = flow()
+    sends = [i for i, r in enumerate(sim.trace) if r.kind is TraceKind.MSG_SEND]
+    assert len(sends) == 1
+    assert kinds_at(sim.trace[sends[0]:]) == [(TraceKind.MSG_SEND, src),
+                                              (TraceKind.MONITOR_DENY, dst)]
+    assert not any(r.kind is TraceKind.LABEL_CHANGE for r in sim.trace)
+    assert unchanged()
+
+
+def test_send_fatal_mode_raises_after_send_and_deny():
+    sim = Engine()
+    src = sim.add(Node("src", EMPTY_LABEL))
+    dst = sim.add(Node("dst", EMPTY_LABEL))
+    with pytest.raises(MonitorFault) as err:
+        Monitor(MonitorMode.FATAL).send(sim, src, dst, Label.parse("{B/B:inf}"), "m0")
+    assert kinds_at(sim.trace) == [(TraceKind.MSG_SEND, "src"),
+                                   (TraceKind.MONITOR_DENY, "dst")]
+    assert err.value.record is sim.trace[1]

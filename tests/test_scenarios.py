@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -101,7 +102,7 @@ def test_config_validation_rejects(mutation):
     )
     base.update(mutation)
     with pytest.raises(ConfigError):
-        ScenarioConfig(**base).validate()
+        ScenarioConfig(**base)  # construction alone validates
 
 
 def test_config_json_roundtrip():
@@ -182,6 +183,19 @@ def test_statmux_deliveries_on_boundaries_with_paced_labels():
     for run in (report.run_short, report.run_long):
         for r in boundary_records(run.trace, "A"):
             assert r.label == Label.parse("{A/A:1/5,B:1/5}")
+
+
+def test_paced_delivery_hides_when_the_result_was_computed():
+    # B has priority, so A's result completes at tick 1 or 3 with B's work
+    # at 1 or 3 slices; the pacer releases both at tick 5 and nothing at
+    # A's boundary may tell them apart
+    cfg = dataclasses.replace(
+        build_scenario("statmux", freq=F15, jobs=(JobSpec("A", 1), JobSpec("B", 1))),
+        scheduler=SchedulerSpec("demand", ("B", "A")))
+    report = run_paired(cfg, 1, 3)
+    assert [r.t for r in boundary_records(report.run_short.trace, "A")] == [5]
+    assert [r.t for r in boundary_records(report.run_long.trace, "A")] == [5]
+    assert report.alice_diff == []
 
 
 def test_statmux_without_pacer_denied_at_gateway():
