@@ -15,7 +15,7 @@ from when her own probe results come back. Three regimes:
 
 import dataclasses
 
-from tifcsim import Frequency, default_experiment, measure, straddle_experiment
+from tifcsim import CovertExperiment, Frequency, measure, straddle_experiment
 
 
 def show(name, report):
@@ -28,7 +28,7 @@ def show(name, report):
     print(f"    all within bound: {report.all_pass}")
 
 
-tight = default_experiment(trials=5, seed=11)
+tight = CovertExperiment(trials=5, seed=11)
 show("paced, symbols within one period (channel squeezed shut)", measure(tight))
 
 show("paced, symbols straddling a period boundary (bounded leak)",

@@ -1,113 +1,20 @@
 """Deterministic simulator of rate-bounded timing-channel control in a
 multi-tenant cloud: a content/timing label algebra, a reference monitor,
-pacing queues, and an empirical covert-channel harness."""
+pacing queues, and an empirical covert-channel harness.
 
-from .kernel import (
-    ConfigError,
-    Engine,
-    Entity,
-    MonitorFault,
-    Phase,
-    SchedulingError,
-    SimError,
-    SimFault,
-    TraceKind,
-    TraceRecord,
-    trace_from_jsonl,
-    trace_to_jsonl,
-)
-from .labels import (
-    EMPTY_CAPS,
-    EMPTY_LABEL,
-    INFINITY,
-    ZERO,
-    Capability,
-    CapabilitySet,
-    Frequency,
-    Label,
-    LabelParseError,
-)
-from .leakage import (
-    CovertExperiment,
-    LeakageReport,
-    decode_from_releases,
-    default_experiment,
-    encode_demand,
-    measure,
-    straddle_experiment,
-)
-from .monitor import (
-    Channel,
-    FlowDecision,
-    Monitor,
-    MonitorMode,
-    apply_receive,
-    check_send,
-)
+The package root exports the names the demos, the README and the benchmark
+use; everything else is imported from its module (``tifcsim.monitor``...).
+"""
+
+from .kernel import TraceKind, trace_to_jsonl
+from .labels import Capability, CapabilitySet, Frequency, Label
+from .leakage import CovertExperiment, measure, straddle_experiment
 from .scenarios import (
-    JobSpec,
-    PacerSpec,
-    PairedRunReport,
-    RecordSelector,
     ScenarioConfig,
-    SchedulerSpec,
-    assert_labels,
     boundary_records,
     build_scenario,
-    default_label_expectations,
-    render_schedule,
     run_paired,
     run_scenario,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Capability",
-    "CapabilitySet",
-    "Channel",
-    "ConfigError",
-    "CovertExperiment",
-    "EMPTY_CAPS",
-    "EMPTY_LABEL",
-    "Engine",
-    "Entity",
-    "FlowDecision",
-    "Frequency",
-    "INFINITY",
-    "JobSpec",
-    "Label",
-    "LabelParseError",
-    "LeakageReport",
-    "Monitor",
-    "MonitorFault",
-    "MonitorMode",
-    "PacerSpec",
-    "PairedRunReport",
-    "Phase",
-    "RecordSelector",
-    "ScenarioConfig",
-    "SchedulerSpec",
-    "SchedulingError",
-    "SimError",
-    "SimFault",
-    "TraceKind",
-    "TraceRecord",
-    "ZERO",
-    "apply_receive",
-    "assert_labels",
-    "boundary_records",
-    "build_scenario",
-    "check_send",
-    "decode_from_releases",
-    "default_experiment",
-    "default_label_expectations",
-    "encode_demand",
-    "measure",
-    "render_schedule",
-    "run_paired",
-    "run_scenario",
-    "straddle_experiment",
-    "trace_from_jsonl",
-    "trace_to_jsonl",
-]

@@ -126,7 +126,7 @@ def cmd_paired(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
-        json.dumps(report.to_json_obj(include_traces=True), sort_keys=True, indent=2)
+        json.dumps(report.to_json_obj(), sort_keys=True, indent=2)
         + "\n",
         encoding="utf-8",
     )
@@ -166,9 +166,7 @@ def cmd_check_labels(args) -> int:
                               "pass --expect")
     checks = assert_labels(run.trace, expectations)
     for c in checks:
-        status = "ok  " if c.ok else "FAIL"
-        print(f"{status} {c.selector.describe()}: {c.message}"
-              if not c.ok else f"{status} {c.selector.describe()} = {c.expected}")
+        print(c)
     return EXIT_OK if all(c.ok for c in checks) else EXIT_ASSERTION
 
 

@@ -20,7 +20,7 @@ from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .kernel import ConfigError, Engine, Entity, Phase, SimError, TraceKind
 from .labels import EMPTY_CAPS, INFINITY, CapabilitySet, Frequency, Label
-from .monitor import Channel, FlowDecision, Monitor, apply_receive
+from .monitor import FlowDecision, Monitor, apply_receive
 
 
 def result_payload(payload_bits: str) -> str:
@@ -207,7 +207,7 @@ class ComputeCore(Entity):
         """Join a control message's label into every queued job's timing."""
         for queue in self.slots.values():
             for job in queue:
-                tainted = apply_receive(job.label, ctrl_label, Channel.TIMING_ONLY)
+                tainted = apply_receive(job.label, ctrl_label)
                 if tainted != job.label:
                     job.label = check_process_label(tainted)
                     sim.emit(TraceKind.LABEL_CHANGE, self.id, label=job.label,

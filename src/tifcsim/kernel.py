@@ -100,15 +100,6 @@ class TraceRecord:
         )
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    time: int
-    phase: int
-    seq: int
-    target: str = field(compare=False)
-    payload: tuple = field(compare=False)
-
-
 class Entity:
     """Base for simulated nodes; state machines driven by kernel events."""
 
@@ -133,7 +124,9 @@ class Engine:
         trace_limit: Optional[int] = None,
         sink: Optional[Callable[[TraceRecord], None]] = None,
     ):
-        self._queue: List[Event] = []
+        # Heap of (time, phase, seq, target id, payload); seq is unique, so
+        # the order never reaches the last two fields.
+        self._queue: List[tuple] = []
         self._seq = count()
         self._now = 0
         self._entities: Dict[str, Entity] = {}
@@ -166,9 +159,8 @@ class Engine:
             )
         if target.id not in self._entities:
             raise SchedulingError(f"unknown entity {target.id!r}")
-        ev = Event(time, int(phase if phase is not None else target.phase),
-                   next(self._seq), target.id, payload)
-        heapq.heappush(self._queue, ev)
+        heapq.heappush(self._queue, (time, phase if phase is not None else target.phase,
+                                     next(self._seq), target.id, payload))
 
     def emit(
         self,
@@ -191,10 +183,9 @@ class Engine:
 
     def run_until(self, t_end: int) -> List[TraceRecord]:
         """Execute every event with time <= t_end; clock ends at t_end."""
-        while self._queue and self._queue[0].time <= t_end:
-            ev = heapq.heappop(self._queue)
-            self._now = ev.time
-            self._entities[ev.target].handle(self, ev.payload)
+        while self._queue and self._queue[0][0] <= t_end:
+            self._now, _, _, target, payload = heapq.heappop(self._queue)
+            self._entities[target].handle(self, payload)
         self._now = max(self._now, t_end)
         return list(self._trace)
 

@@ -227,8 +227,6 @@ class Label:
         timing = ",".join(f"{u}:{f}" for u, f in self._timing.items()) or "-"
         return "{" + content + "/" + timing + "}"
 
-    canonical = __str__
-
     @classmethod
     def parse(cls, text: str) -> "Label":
         """Inverse of ``str``; raises LabelParseError with a position."""
@@ -290,10 +288,6 @@ class Capability:
     @property
     def removes_content(self) -> bool:
         return self.limit is None or self.limit.is_infinite
-
-    def apply(self, label: Label) -> Label:
-        """Explicit single-capability use (mostly a test surface)."""
-        return label.declassify(CapabilitySet((self,)))
 
     def __str__(self) -> str:
         if self.limit is None:

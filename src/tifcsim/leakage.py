@@ -56,6 +56,10 @@ class CovertExperiment:
     Each trial uses seed ``seed + trial`` to draw a fresh random message of
     ``message_len`` bits (or the fixed ``bitstring`` when given). The
     encoding maps bit 0 to a ``short_work`` job and bit 1 to ``long_work``.
+
+    The defaults give frames of one period in which both symbols complete.
+    Paced, the channel is squeezed to (near) nothing; unpaced, it decodes
+    perfectly and beats the bound, which is what the ablation demonstrates.
     """
 
     freq: Frequency = Frequency(1, 5)
@@ -126,15 +130,6 @@ _read_experiment = json_object(
     rename={"f": "freq", "short": "short_work", "long": "long_work",
             "probe": "probe_work", "frame": "frame_ticks"},
 )
-
-
-def default_experiment(**overrides) -> CovertExperiment:
-    """Frames of one period; both symbols complete within the frame.
-
-    Paced, the channel is squeezed to (near) nothing; unpaced, it decodes
-    perfectly and beats the bound, which is what the ablation demonstrates.
-    """
-    return CovertExperiment(**overrides)
 
 
 def straddle_experiment(freq: Frequency = Frequency(1, 5), **overrides) -> CovertExperiment:

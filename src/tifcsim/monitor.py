@@ -1,9 +1,10 @@
 """Reference monitor: flow checks, receive-side tainting, decision records.
 
 A send is allowed iff the source label, after automatically applying every
-held capability, flows to the destination label. Receiving tainted data
-raises the receiver's label: content-channel messages join in their full
-label, timing-only messages join in only the lifted (pure-timing) form.
+held capability, flows to the destination label. The one receive rule is
+timing-only: scheduler control joins into a job's label only in its lifted
+(pure-timing) form, so control can taint when a job runs but never what it
+computes.
 
 ``Monitor.send`` is the one checked send between entities; only the
 customer-facing gateway egress decides with capabilities of its own.
@@ -17,11 +18,6 @@ from typing import Mapping, Optional, Tuple
 
 from .kernel import Engine, Entity, MonitorFault, TraceKind
 from .labels import EMPTY_CAPS, CapabilitySet, Label
-
-
-class Channel(Enum):
-    CONTENT = "content"
-    TIMING_ONLY = "timing_only"
 
 
 class MonitorMode(Enum):
@@ -57,11 +53,9 @@ def check_send(src_label: Label, caps: CapabilitySet, dst_label: Label) -> FlowD
     return FlowDecision(False, effective, blocking_tags(effective, dst_label))
 
 
-def apply_receive(receiver: Label, msg_label: Label, channel: Channel) -> Label:
-    """Receiver's label after accepting a message on the given channel."""
-    if channel is Channel.TIMING_ONLY:
-        return receiver.join(msg_label.lift_to_timing())
-    return receiver.join(msg_label)
+def apply_receive(receiver: Label, msg_label: Label) -> Label:
+    """Receiver's label after accepting a timing-only message."""
+    return receiver.join(msg_label.lift_to_timing())
 
 
 class Monitor:

@@ -299,7 +299,6 @@ _read_shorthand = json_object(
 class ScenarioRun:
     config: ScenarioConfig
     trace: List[TraceRecord]
-    engine: Engine
 
 
 def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor]:
@@ -362,7 +361,7 @@ def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor]:
 def run_scenario(cfg: ScenarioConfig, sink=None) -> ScenarioRun:
     engine, _ = wire(cfg, sink=sink)
     trace = engine.run_until(cfg.horizon)
-    return ScenarioRun(config=cfg, trace=trace, engine=engine)
+    return ScenarioRun(config=cfg, trace=trace)
 
 
 # -- trace queries ----------------------------------------------------------
@@ -422,6 +421,12 @@ class LabelCheck:
     actual: Optional[Label]
     ok: bool
     message: str
+
+    def __str__(self) -> str:
+        """One report line: the expected label, or why the check failed."""
+        if self.ok:
+            return f"ok   {self.selector.describe()} = {self.expected}"
+        return f"FAIL {self.message}"
 
 
 def assert_labels(
@@ -517,8 +522,8 @@ class PairedRunReport:
             return False
         return True
 
-    def to_json_obj(self, include_traces: bool = False) -> dict:
-        obj = {
+    def to_json_obj(self) -> dict:
+        return {
             "scenario": self.scenario,
             "vary_user": self.vary_user,
             "short_work": self.short_work,
@@ -537,11 +542,9 @@ class PairedRunReport:
                 for c in self.label_checks
             ],
             "passed": self.passed,
+            "trace_short": [json.loads(r.to_json()) for r in self.run_short.trace],
+            "trace_long": [json.loads(r.to_json()) for r in self.run_long.trace],
         }
-        if include_traces:
-            obj["trace_short"] = [json.loads(r.to_json()) for r in self.run_short.trace]
-            obj["trace_long"] = [json.loads(r.to_json()) for r in self.run_long.trace]
-        return obj
 
     def to_text(self) -> str:
         lines = [
@@ -552,9 +555,7 @@ class PairedRunReport:
         ]
         if self.boundary_ok is not None:
             lines.append(f"deliveries on pacer boundaries: {self.boundary_ok}")
-        for c in self.label_checks:
-            lines.append(f"label {'ok  ' if c.ok else 'FAIL'} {c.message}"
-                         if not c.ok else f"label ok   {c.selector.describe()} = {c.expected}")
+        lines += [f"label {c}" for c in self.label_checks]
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         lines.append("")
         lines.append(f"-- schedule, {self.vary_user} short ({self.short_work}) --")
@@ -569,7 +570,11 @@ def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRu
     slices and diff the first user's gateway deliveries."""
     if short_work == long_work:
         raise ConfigError("paired runs need distinct short and long work")
-    vary = cfg.users[min(1, len(cfg.users) - 1)]
+    if len(cfg.users) < 2:
+        raise ConfigError("paired runs need a second user to vary")
+    observer, vary = cfg.users[:2]
+    if not any(j.owner == vary for j in cfg.jobs):
+        raise ConfigError(f"paired runs vary user {vary}, who has no jobs")
 
     def with_work(work: int) -> ScenarioConfig:
         jobs = tuple(
@@ -582,9 +587,8 @@ def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRu
     run_short = run_scenario(cfg_short)
     run_long = run_scenario(cfg_long)
 
-    observer = cfg.users[0]
-    short_view = [r.to_json() for r in boundary_records(run_short.trace, observer)]
-    long_view = [r.to_json() for r in boundary_records(run_long.trace, observer)]
+    seen = [boundary_records(run.trace, observer) for run in (run_short, run_long)]
+    short_view, long_view = ([r.to_json() for r in recs] for recs in seen)
     diff = []
     for i in range(max(len(short_view), len(long_view))):
         s = short_view[i] if i < len(short_view) else None
@@ -599,12 +603,7 @@ def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRu
     boundary_ok: Optional[bool] = None
     if cfg.pacer is not None:
         period, first = pacer_clock(cfg.pacer.freq, cfg.pacer.first_tick)
-        ticks = [
-            r.t
-            for run in (run_short, run_long)
-            for r in boundary_records(run.trace, observer)
-        ]
-        boundary_ok = all((t - first) % period == 0 for t in ticks)
+        boundary_ok = all((r.t - first) % period == 0 for recs in seen for r in recs)
 
     return PairedRunReport(
         scenario=kind,
@@ -630,25 +629,20 @@ def render_schedule(trace: Sequence[TraceRecord], cfg: ScenarioConfig) -> str:
     customer, 'X' a denied delivery attempt.
     """
     slices: Dict[Tuple[str, str], List[int]] = {}
+    outs: Dict[str, Dict[int, str]] = {f"gw_{u}": {} for u in cfg.users}
     for r in trace:
         if r.kind is TraceKind.SLICE_START:
             slices.setdefault((r.entity, r.detail["owner"]), []).append(r.t)
-    deliveries: Dict[str, List[int]] = {u: [] for u in cfg.users}
-    denials: Dict[str, List[int]] = {u: [] for u in cfg.users}
-    for u in cfg.users:
-        for r in trace:
-            if r.entity != f"gw_{u}":
-                continue
+        elif r.entity in outs:
             if r.kind is TraceKind.MSG_RECV:
-                deliveries[u].append(r.t)
+                outs[r.entity].setdefault(r.t, "R")
             elif r.kind is TraceKind.MONITOR_DENY:
-                denials[u].append(r.t)
+                outs[r.entity][r.t] = "X"  # a denial outranks a delivery
 
     drawn = [t for ts in slices.values() for t in ts]
-    drawn += [t for ts in deliveries.values() for t in ts]
-    drawn += [t for ts in denials.values() for t in ts]
+    drawn += [t for marks in outs.values() for t in marks]
     last = max(drawn, default=0)
-    width = min(cfg.horizon, last + 2)
+    width = min(cfg.horizon + 1, last + 2)  # the run includes t = horizon
 
     def row(marks: Mapping[int, str]) -> str:
         return "".join(marks.get(t, ".") for t in range(width))
@@ -663,7 +657,5 @@ def render_schedule(trace: Sequence[TraceRecord], cfg: ScenarioConfig) -> str:
         lines.append(f"{f'{core}/{user}':<{name_w}} "
                      + row({t: "#" for t in slices[(core, user)]}))
     for u in cfg.users:
-        marks = {t: "R" for t in deliveries[u]}
-        marks.update({t: "X" for t in denials[u]})
-        lines.append(f"{f'out:{u}':<{name_w}} " + row(marks))
+        lines.append(f"{f'out:{u}':<{name_w}} " + row(outs[f"gw_{u}"]))
     return "\n".join(lines)

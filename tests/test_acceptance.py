@@ -19,7 +19,7 @@ from tifcsim.labels import (
     Label,
     ZERO,
 )
-from tifcsim.leakage import default_experiment, measure
+from tifcsim.leakage import CovertExperiment, measure
 from tifcsim.monitor import check_send
 from tifcsim.scenarios import (
     JobSpec,
@@ -217,7 +217,7 @@ def test_criterion_6_deterministic_computation_across_interleavings():
 
 
 def test_criterion_7_leakage_bound():
-    exp = default_experiment(trials=10, seed=7001, message_len=64, horizon=2048)
+    exp = CovertExperiment(trials=10, seed=7001, message_len=64, horizon=2048)
     assert exp.horizon >= 2000 and exp.trials >= 10 and exp.message_len >= 64
 
     paced = measure(exp)

@@ -1,0 +1,71 @@
+"""The benchmark under ``bench/`` reaches into tifcsim by name: the calls its
+tracer wraps, the handlers it counts and the attributes it reads from the
+package. Deleting or renaming one of them breaks ``bench/run.py`` while every
+other test here still passes, so these tests hold that contract. They only
+read ``bench/``."""
+
+import ast
+import importlib
+import sys
+from functools import reduce
+from pathlib import Path
+
+import tifcsim
+import tifcsim.cli  # noqa: F401  (bench/ reads tifcsim.cli)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name):
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def wrappable(module, qualname):
+    """Whether the tracer can find ``qualname`` in ``tifcsim.<module>``."""
+    owner = importlib.import_module(f"tifcsim.{module}")
+    cls_name, _, attr = qualname.rpartition(".")
+    if cls_name:
+        # the tracer wraps what the class itself defines, not what it inherits
+        cls = getattr(owner, cls_name, None)
+        return cls is not None and attr in vars(cls)
+    return hasattr(owner, attr)
+
+
+def test_traced_and_counted_calls_resolve():
+    tracer, workloads = bench_module("tracer"), bench_module("workloads")
+    targets = [t[1:] for t in tracer.TARGETS + workloads.HANDLERS + workloads.RUNS]
+    assert [f"tifcsim.{m}.{q}" for m, q in targets if not wrappable(m, q)] == []
+
+
+def tifcsim_reads(tree):
+    """Dotted names read from ``tifcsim`` (``tifcsim.labels.Label``) and
+    names imported from the package root."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "tifcsim":
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id == "tifcsim":
+                yield ".".join(reversed(parts))
+
+
+def resolves(dotted):
+    try:
+        reduce(getattr, dotted.split("."), tifcsim)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_names_bench_reads_from_the_package_exist():
+    reads = {(path.name, name) for path in sorted(BENCH.glob("*.py"))
+             for name in tifcsim_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert ("run.py", "trace_to_jsonl") in reads  # the scan sees the benchmark
+    assert sorted(r for r in reads if not resolves(r[1])) == []

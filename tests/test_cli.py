@@ -105,7 +105,7 @@ def test_leakage_pass_and_fail(tmp_path):
     assert main(["leakage", "--config", bad, "--out", str(out)]) == 1
 
 
-def test_check_labels_defaults_and_custom(statmux_cfg, tmp_path):
+def test_check_labels_defaults_and_custom(statmux_cfg, tmp_path, capsys):
     assert main(["check-labels", "--config", statmux_cfg]) == 0
     expect = write(tmp_path / "expect.json", [
         {"kind": "PacerRelease", "entity": "pacer_A",
@@ -116,8 +116,12 @@ def test_check_labels_defaults_and_custom(statmux_cfg, tmp_path):
     wrong = write(tmp_path / "wrong.json", [
         {"kind": "PacerRelease", "entity": "pacer_A", "label": "{-/-}"},
     ])
+    capsys.readouterr()
     assert main(["check-labels", "--config", statmux_cfg,
                  "--expect", wrong]) == 1
+    # the failure names its selector once
+    assert capsys.readouterr().out == (
+        "FAIL PacerRelease at pacer_A #0: expected {-/-}, got {A/A:1/5,B:1/5}\n")
 
 
 FULL = {
@@ -144,8 +148,8 @@ def edit(base, path, value):
 
 
 # (command, file content, text naming the offending key on stderr); bytes are
-# written raw. After the first three rows, each input once escaped as a
-# traceback (exit 1) or was silently accepted.
+# written raw. After the first three rows, each input once exited 1 (a
+# traceback or a false verdict) or was silently accepted.
 CONFIG_ERRORS = [
     pytest.param("run", None, "cannot read", id="missing-file"),
     pytest.param("run", b"{not json", "not valid JSON", id="bad-json"),
@@ -181,6 +185,9 @@ CONFIG_ERRORS = [
                  id="unknown-key"),
     pytest.param("run", edit(SHORT, ["pacer"], "no"), "pacer", id="shorthand-pacer-str"),
     pytest.param("run", edit(SHORT, ["jobs"], []), "jobs", id="shorthand-jobs"),
+    pytest.param("paired", {"scenario": "dedicated", "users": ["A"]}, "second user",
+                 id="paired-one-user"),
+    pytest.param("paired", FULL, "user B, who has no jobs", id="paired-vary-no-jobs"),
     pytest.param("leakage", [1], "config: expected an object", id="leakage-list"),
     pytest.param("leakage", edit(LEAK, ["seed"], "a"), "seed", id="leakage-seed-str"),
     pytest.param("leakage", edit(LEAK, ["paced"], "no"), "paced",

@@ -12,7 +12,6 @@ from tifcsim.leakage import (
     binary_entropy,
     build_config,
     decode_from_releases,
-    default_experiment,
     empirical_mi,
     encode_demand,
     measure,
@@ -57,7 +56,7 @@ def test_experiment_validation():
 
 
 def test_messages_differ_per_seed_but_are_reproducible():
-    exp = default_experiment()
+    exp = CovertExperiment()
     assert exp.message_for(1) == exp.message_for(1)
     assert exp.message_for(1) != exp.message_for(2)
     assert len(exp.message_for(1)) == 64
@@ -109,7 +108,7 @@ def test_empirical_mi_bounds():
 
 
 def test_model_latencies_default_profile():
-    exp = default_experiment()
+    exp = CovertExperiment()
     # paced: both symbols complete inside one period, released at its end
     assert model_latency(exp, exp.short_work) == 5
     assert model_latency(exp, exp.long_work) == 5
@@ -125,8 +124,7 @@ def test_model_latencies_straddle_profile():
 
 
 def test_model_latency_dedicated_ignores_sender():
-    exp = dataclasses.replace(default_experiment(), topology="dedicated",
-                              paced=False)
+    exp = CovertExperiment(topology="dedicated", paced=False)
     assert model_latency(exp, 1) == model_latency(exp, 3) == 0
 
 
@@ -134,7 +132,7 @@ def test_model_latency_dedicated_ignores_sender():
 
 
 def test_unpaced_shared_channel_is_wide_open():
-    exp = default_experiment(paced=False, trials=1, seed=42)
+    exp = CovertExperiment(paced=False, trials=1, seed=42)
     trial = run_trial(exp, 42)
     assert trial.valid
     assert trial.ber == 0.0
@@ -142,7 +140,7 @@ def test_unpaced_shared_channel_is_wide_open():
 
 
 def test_paced_trial_stays_at_or_below_bound():
-    exp = default_experiment(trials=1, seed=42)
+    exp = CovertExperiment(trials=1, seed=42)
     trial = run_trial(exp, 42)
     assert trial.achieved_rate <= exp.bound
 
@@ -165,8 +163,7 @@ def test_halving_frequency_halves_the_straddle_rate():
 
 
 def test_dedicated_topology_has_no_channel():
-    exp = dataclasses.replace(default_experiment(), topology="dedicated",
-                              paced=False, trials=10, seed=5)
+    exp = CovertExperiment(topology="dedicated", paced=False, trials=10, seed=5)
     report = measure(exp)
     assert [t.seed for t in report.trials] == list(range(5, 15))
     for trial in report.trials:
@@ -178,7 +175,7 @@ def test_dedicated_topology_has_no_channel():
 
 
 def test_paced_release_count_bounded_by_horizon_over_period():
-    exp = default_experiment(trials=1, seed=9)
+    exp = CovertExperiment(trials=1, seed=9)
     cfg = build_config(exp, exp.message_for(9), 9)
     run = run_scenario(cfg)
     releases = [r for r in run.trace if r.kind is TraceKind.PACER_RELEASE
@@ -188,7 +185,7 @@ def test_paced_release_count_bounded_by_horizon_over_period():
 
 
 def test_measure_aggregates_trials():
-    exp = default_experiment(trials=3, seed=50)
+    exp = CovertExperiment(trials=3, seed=50)
     report = measure(exp)
     assert len(report.trials) == 3
     assert [t.seed for t in report.trials] == [50, 51, 52]
@@ -201,7 +198,7 @@ def test_measure_aggregates_trials():
 
 
 def test_ablation_exceeds_bound_for_every_seed():
-    exp = default_experiment(paced=False, trials=3, seed=50)
+    exp = CovertExperiment(paced=False, trials=3, seed=50)
     report = measure(exp)
     assert all(t.achieved_rate > exp.bound for t in report.trials)
     assert not report.all_pass

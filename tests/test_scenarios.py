@@ -214,7 +214,7 @@ def test_paired_requires_distinct_works():
 
 def test_paired_report_serializes():
     report = run_paired(build_scenario("dedicated"), 2, 7)
-    obj = report.to_json_obj(include_traces=True)
+    obj = report.to_json_obj()
     assert obj["passed"] is True
     assert obj["trace_short"][0]["kind"] == "JobArrive"
     text = report.to_text()
@@ -298,3 +298,14 @@ def test_render_marks_deliveries_and_denials():
     ablated = build_scenario("statmux", freq=F15, pacer_present=False)
     chart2 = render_schedule(run_scenario(ablated).trace, ablated)
     assert "X" in chart2
+
+
+def test_render_draws_a_delivery_at_the_horizon():
+    # run_until executes t = horizon, so the chart must show that column too
+    cfg = ScenarioConfig(users=("A",), cores="private", horizon=10,
+                         jobs=(JobSpec("A", 2, "01", arrival=9),))
+    trace = run_scenario(cfg).trace
+    assert [r.t for r in boundary_records(trace, "A")] == [10]
+    rows = {l.split()[0]: l.split()[-1] for l in render_schedule(trace, cfg).splitlines()[2:]}
+    assert rows["out:A"] == "." * 10 + "R"
+    assert rows["core_A/A"] == "." * 9 + "##"
