@@ -29,7 +29,7 @@ print("\ndeclassify with {A-, B-:1/5}:", msg.declassify(caps))
 weak = CapabilitySet([Capability("B", Frequency(1, 10))])
 print("declassify with {B-:1/10}:  ", msg.declassify(weak), "(too weak)")
 
-# A maximum-strength timing declassifier behaves like a content one.
+# B-:inf and B- are one capability: an unbounded limit strips content too.
 lab = Label.parse("{A,B/A:inf,B:inf}")
 print("\nB-:inf vs B- on", lab)
 print("  timing form: ", lab.declassify(CapabilitySet([Capability("B", Frequency(1, 0))])))

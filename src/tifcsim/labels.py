@@ -6,6 +6,10 @@ leak through the timing of events on the object, and at what maximum rate).
 Rates are exact rationals in bits per simulated tick, with a distinguished
 infinity for "unbounded"; all comparisons are exact, never floating point.
 
+A bound *covers* a tag when it holds the same content tag, or a timing
+entry for the same user at an equal or higher frequency. ``Label.uncovered``
+states this one rule; the flow order and declassification are read off it.
+
 The flow order, join, declassification and the pacing downgrade defined here
 are pure functions over immutable values, safe to share freely.
 """
@@ -17,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, Tuple, Union
 
 
 class LabelParseError(ValueError):
@@ -34,8 +38,8 @@ class Frequency:
     """Exact information rate in bits per simulated tick.
 
     Stored in lowest terms; ``denominator == 0`` encodes the single
-    canonical infinity (numerator forced to 1). The order is total with
-    infinity greatest.
+    canonical infinity ``1/0`` (numerator forced to 1). The order is total
+    with infinity greatest; cross-multiplication gives it, infinity included.
     """
 
     numerator: int
@@ -43,7 +47,7 @@ class Frequency:
 
     def __post_init__(self) -> None:
         num, den = self.numerator, self.denominator
-        if not isinstance(num, int) or not isinstance(den, int):
+        if type(num) is not int or type(den) is not int:
             raise ValueError("frequency parts must be integers")
         if den == 0:
             object.__setattr__(self, "numerator", 1)
@@ -69,10 +73,6 @@ class Frequency:
     def __lt__(self, other: "Frequency") -> bool:
         if not isinstance(other, Frequency):
             return NotImplemented
-        if self.is_infinite:
-            return False
-        if other.is_infinite:
-            return True
         return self.numerator * other.denominator < other.numerator * self.denominator
 
     def __str__(self) -> str:
@@ -160,19 +160,17 @@ class Label:
 
     # -- the flow order and its join --------------------------------------
 
-    def flows_to(self, other: "Label") -> bool:
-        """True iff information labeled ``self`` may move to ``other``.
+    def uncovered(self, bound: Union["Label", "CapabilitySet"]) -> Tuple[frozenset, dict]:
+        """Tags of ``self`` that ``bound`` (a label or capability set) does
+        not cover, as ``(content, timing)``: content outside ``bound``'s
+        content, timing entries above ``bound``'s frequency for the user."""
+        limits = bound._timing
+        timing = {u: f for u, f in self._timing.items() if u not in limits or limits[u] < f}
+        return self._content - bound._content, timing
 
-        Content must be a subset; every timing entry must be present in the
-        destination at an equal or higher frequency.
-        """
-        if not self._content <= other._content:
-            return False
-        for user, freq in self._timing.items():
-            bound = other._timing.get(user)
-            if bound is None or bound < freq:
-                return False
-        return True
+    def flows_to(self, other: "Label") -> bool:
+        """True iff ``self`` may move to ``other``: nothing is uncovered."""
+        return not any(self.uncovered(other))
 
     def join(self, other: "Label") -> "Label":
         """Least upper bound: content union, pointwise max of timing."""
@@ -204,21 +202,8 @@ class Label:
         return Label(self._content, timing)
 
     def declassify(self, caps: "CapabilitySet") -> "Label":
-        """Smallest label reachable by applying every held capability.
-
-        A content-strength capability for U removes U's content tag and any
-        timing tag; a timing capability at limit f removes U's timing tag
-        only when its frequency is at most f. Missing capabilities leave
-        tags in place.
-        """
-        content = frozenset(u for u in self._content if not caps.removes_content(u))
-        timing = {}
-        for user, freq in self._timing.items():
-            strength = caps.strength(user)
-            if strength is not None and strength >= freq:
-                continue
-            timing[user] = freq
-        return Label(content, timing)
+        """Smallest label reachable with ``caps``: the tags they do not cover."""
+        return Label(*self.uncovered(caps))
 
     # -- serialization -----------------------------------------------------
 
@@ -265,32 +250,21 @@ EMPTY_LABEL = Label()
 class Capability:
     """Authority to strip one user's tags before a flow.
 
-    ``limit is None`` is the content declassifier: it removes the user's
-    content tag and any timing tag. A finite ``limit`` removes only timing
-    tags with frequency at most ``limit``; an infinite ``limit`` behaves
-    exactly like the content declassifier while remaining a distinct value.
+    It covers the user's timing tags with frequency at most ``limit``; at
+    the default ``limit = inf``, written ``U-``, it covers the content tag
+    too. ``U-:inf`` is the same value and prints as ``U-``.
     """
 
     user: str
-    limit: Optional[Frequency] = None
+    limit: Frequency = INFINITY
 
     def __post_init__(self) -> None:
         _check_tag(self.user)
-
-    @property
-    def is_content(self) -> bool:
-        return self.limit is None
-
-    @property
-    def strength(self) -> Frequency:
-        return INFINITY if self.limit is None else self.limit
-
-    @property
-    def removes_content(self) -> bool:
-        return self.limit is None or self.limit.is_infinite
+        if not isinstance(self.limit, Frequency):
+            raise ValueError(f"capability limit for {self.user!r} is not a Frequency")
 
     def __str__(self) -> str:
-        if self.limit is None:
+        if self.limit.is_infinite:
             return f"{self.user}-"
         return f"{self.user}-:{self.limit}"
 
@@ -299,51 +273,40 @@ class Capability:
         m = re.fullmatch(r"([A-Za-z0-9_]+)-(?::(.+))?", text)
         if not m:
             raise LabelParseError(f"bad capability {text!r}", 0)
-        limit = Frequency.parse(m.group(2), len(m.group(1)) + 2) if m.group(2) else None
+        limit = Frequency.parse(m.group(2), len(m.group(1)) + 2) if m.group(2) else INFINITY
         return cls(m.group(1), limit)
 
 
 class CapabilitySet:
-    """Redundancy-free set of capabilities, at most one per user.
+    """Redundancy-free set of capabilities: each user's largest limit.
 
-    Construction keeps only the strongest capability per user; a content
-    declassifier subsumes every timing one for the same user.
+    It covers tags the way a label does: ``_timing`` maps each user to the
+    largest limit, ``_content`` holds the users whose limit is infinite.
     """
 
-    __slots__ = ("_caps",)
+    __slots__ = ("_timing", "_content")
 
     def __init__(self, caps: Iterable[Capability] = ()):
         best: dict = {}
         for cap in caps:
-            cur = best.get(cap.user)
-            if cur is None or cap.strength > cur.strength or (
-                cap.strength == cur.strength and cap.is_content and not cur.is_content
-            ):
-                best[cap.user] = cap
-        self._caps = dict(sorted(best.items()))
-
-    def strength(self, user: str) -> Optional[Frequency]:
-        """Max timing frequency this set can scrub for ``user``; None if none."""
-        cap = self._caps.get(user)
-        return cap.strength if cap is not None else None
-
-    def removes_content(self, user: str) -> bool:
-        cap = self._caps.get(user)
-        return cap is not None and cap.removes_content
+            if cap.user not in best or best[cap.user] < cap.limit:
+                best[cap.user] = cap.limit
+        self._timing = dict(sorted(best.items()))
+        self._content = frozenset(u for u, f in best.items() if f.is_infinite)
 
     def __iter__(self):
-        return iter(self._caps.values())
+        return (Capability(u, f) for u, f in self._timing.items())
 
     def __len__(self) -> int:
-        return len(self._caps)
+        return len(self._timing)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CapabilitySet):
             return NotImplemented
-        return self._caps == other._caps
+        return self._timing == other._timing
 
     def __hash__(self) -> int:
-        return hash(tuple(self._caps.items()))
+        return hash(tuple(self._timing.items()))
 
     def __repr__(self) -> str:
         return f"CapabilitySet({sorted(map(str, self))})"

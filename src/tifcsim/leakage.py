@@ -138,15 +138,16 @@ def straddle_experiment(freq: Frequency = Frequency(1, 5), **overrides) -> Cover
     The paced channel then genuinely leaks about half a bit per period,
     sitting below the bound rather than at zero: the bounded-leak regime.
     """
-    period = freq.denominator
+    period, _ = pacer_clock(freq)
     params = dict(
         freq=freq,
         short_work=1,
         long_work=period + 1,
         frame_ticks=2 * period,
-        horizon=overrides.pop("horizon", None) or (2 * period * 70 + period + 1),
     )
     params.update(overrides)
+    if params.get("horizon") is None:
+        params["horizon"] = 2 * period * 70 + period + 1
     return CovertExperiment(**params)
 
 

@@ -1,7 +1,8 @@
 """Reference monitor: flow checks, receive-side tainting, decision records.
 
-A send is allowed iff the source label, after automatically applying every
-held capability, flows to the destination label. The one receive rule is
+A send is allowed iff the destination label covers every tag of the source
+label that the held capabilities leave (``Label.uncovered``); what is still
+uncovered is the residual a denial records. The one receive rule is
 timing-only: scheduler control joins into a job's label only in its lifted
 (pure-timing) form, so control can taint when a job runs but never what it
 computes.
@@ -27,30 +28,23 @@ class MonitorMode(Enum):
 
 @dataclass(frozen=True)
 class FlowDecision:
-    allowed: bool
     effective: Label
     residual: Tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        assert not (self.allowed and self.residual)
-
-
-def blocking_tags(effective: Label, dst: Label) -> Tuple[str, ...]:
-    """Canonical names of the tags that keep ``effective`` out of ``dst``."""
-    blocked = [u for u in effective.content if u not in dst.content]
-    for user, freq in effective.timing.items():
-        bound = dst.timing.get(user)
-        if bound is None or bound < freq:
-            blocked.append(f"{user}:{freq}")
-    return tuple(sorted(blocked))
+    @property
+    def allowed(self) -> bool:
+        return not self.residual
 
 
 def check_send(src_label: Label, caps: CapabilitySet, dst_label: Label) -> FlowDecision:
-    """Decide one flow; total function, never raises."""
+    """Decide one flow; total function, never raises. The residual names
+    the uncovered tags, sorted: ``U`` for content, ``U:f`` for timing."""
     effective = src_label.declassify(caps)
-    if effective.flows_to(dst_label):
-        return FlowDecision(True, effective, ())
-    return FlowDecision(False, effective, blocking_tags(effective, dst_label))
+    content, timing = effective.uncovered(dst_label)
+    if not content and not timing:
+        return FlowDecision(effective, ())
+    blocked = [*content, *(f"{u}:{f}" for u, f in timing.items())]
+    return FlowDecision(effective, tuple(sorted(blocked)))
 
 
 def apply_receive(receiver: Label, msg_label: Label) -> Label:

@@ -6,7 +6,7 @@ agreement between the two is evidence rather than tautology.
 """
 
 from itertools import product
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from tifcsim.labels import Capability, Frequency, INFINITY, Label, ZERO
 
@@ -61,6 +61,26 @@ def oracle_flow_allowed(src: Label, caps: Sequence[Capability], dst: Label) -> b
         if strength is None or strength < freq:
             return False
     return True
+
+
+def oracle_residual(src: Label, caps: Sequence[Capability],
+                    dst: Label) -> Tuple[Label, Tuple[str, ...]]:
+    """Tag-by-tag evaluation of a decision's leftovers: the effective label
+    (the source tags no held capability strips) and the sorted names of its
+    tags the destination does not dominate, ``U`` for content and ``U:f``
+    for timing."""
+    content = [tag for tag in src.content if not _cap_removes_content(caps, tag)]
+    timing = {}
+    for user, freq in src.timing.items():
+        strength = _cap_strength(caps, user)
+        if strength is None or strength < freq:
+            timing[user] = freq
+    residual = [tag for tag in content if tag not in dst.content]
+    for user, freq in timing.items():
+        bound = dst.timing.get(user)
+        if bound is None or bound < freq:
+            residual.append(f"{user}:{freq}")
+    return Label(content, timing), tuple(sorted(residual))
 
 
 def all_labels(users: Sequence[str], freqs: Sequence[Frequency]) -> List[Label]:

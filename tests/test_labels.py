@@ -16,7 +16,7 @@ from tifcsim.labels import (
     LabelParseError,
 )
 
-from reference import all_labels, lub_by_enumeration, oracle_leq, random_label
+from reference import FREQ_POOL, all_labels, lub_by_enumeration, oracle_leq, random_label
 
 F15 = Frequency(1, 5)
 A_INF = Label(("A",), {"A": INFINITY})
@@ -32,6 +32,17 @@ def test_frequency_ordering_total_with_infinity_greatest():
     assert max(ZERO, INFINITY) is INFINITY
 
 
+def test_frequency_order_matches_fractions_over_pool():
+    from fractions import Fraction
+
+    def key(f):
+        return (1, 0) if f.denominator == 0 else (0, Fraction(f.numerator, f.denominator))
+
+    for a in FREQ_POOL:
+        for b in FREQ_POOL:
+            assert (a < b) == (key(a) < key(b)), (a, b)
+
+
 def test_frequency_lowest_terms():
     assert Frequency(2, 10) == Frequency(1, 5)
     assert Frequency(2, 10).numerator == 1
@@ -43,6 +54,12 @@ def test_frequency_rejects_negative():
         Frequency(-1, 2)
     with pytest.raises(ValueError):
         Frequency(1, -2)
+
+
+@pytest.mark.parametrize("num,den", [(True, 5), (1, True), (False, 1), (1.0, 5), (1, 5.0)])
+def test_frequency_rejects_non_int_parts(num, den):
+    with pytest.raises(ValueError):
+        Frequency(num, den)
 
 
 @pytest.mark.parametrize("text", ["inf", "0", "3", "1/5", "7/3"])
@@ -208,18 +225,33 @@ def test_capability_set_redundancy_removal():
         Capability("A"),
         Capability("B", Frequency(1)),
         Capability("B", Frequency(2)),
+        Capability("C", Frequency(2)),
+        Capability("C", F15),
     ])
-    assert len(caps) == 2
+    assert len(caps) == 3
     by_user = {c.user: c for c in caps}
-    assert by_user["A"].is_content
+    assert by_user["A"] == Capability("A") and by_user["A"].limit == INFINITY
     assert by_user["B"].limit == Frequency(2)
+    assert by_user["C"].limit == Frequency(2)
 
 
 def test_capability_parse_roundtrip():
-    for text in ["A-", "B-:1/5", "C-:inf"]:
+    for text in ["A-", "B-:1/5"]:
         assert str(Capability.parse(text)) == text
     with pytest.raises(LabelParseError):
         Capability.parse("A")
+
+
+def test_capability_has_one_encoding():
+    assert Capability.parse("C-:inf") == Capability("C") == Capability("C", INFINITY)
+    assert str(Capability.parse("C-:inf")) == "C-"
+    assert CapabilitySet([Capability("C", INFINITY)]) == CapabilitySet([Capability("C")])
+
+
+@pytest.mark.parametrize("limit", [None, 0.2, 1, "1/5"])
+def test_capability_rejects_non_frequency_limit(limit):
+    with pytest.raises(ValueError):
+        Capability("A", limit)
 
 
 # -- pacing downgrade ----------------------------------------------------------------

@@ -123,6 +123,15 @@ def test_model_latencies_straddle_profile():
     assert model_latency(exp, exp.long_work) == 10
 
 
+def test_straddle_horizon_default_only_when_absent():
+    assert straddle_experiment().horizon == 2 * 5 * 70 + 5 + 1
+    assert straddle_experiment(horizon=None).horizon == 2 * 5 * 70 + 5 + 1
+    assert straddle_experiment(freq=F110).horizon == 2 * 10 * 70 + 10 + 1
+    assert straddle_experiment(horizon=900).horizon == 900
+    with pytest.raises(ConfigError):
+        straddle_experiment(horizon=0)
+
+
 def test_model_latency_dedicated_ignores_sender():
     exp = CovertExperiment(topology="dedicated", paced=False)
     assert model_latency(exp, 1) == model_latency(exp, 3) == 0

@@ -23,7 +23,7 @@ from tifcsim.labels import (
 )
 from tifcsim.monitor import Monitor, MonitorMode, apply_receive, check_send
 
-from reference import oracle_flow_allowed, random_caps, random_label
+from reference import oracle_flow_allowed, oracle_residual, random_caps, random_label
 
 F15 = Frequency(1, 5)
 
@@ -61,6 +61,18 @@ def test_check_send_agrees_with_bruteforce_oracle():
         if mine != oracle_flow_allowed(src, caps, dst):
             disagreements += 1
     assert disagreements == 0
+
+
+def test_check_send_residual_and_effective_match_oracle():
+    rng = random.Random(19)
+    for _ in range(5000):
+        src = random_label(rng, "ABC")
+        dst = random_label(rng, "ABC")
+        caps = random_caps(rng, "ABC")
+        d = check_send(src, CapabilitySet(caps), dst)
+        effective, residual = oracle_residual(src, caps, dst)
+        assert (d.effective, d.residual) == (effective, residual), (src, caps, dst)
+        assert d.allowed == (not residual) == oracle_flow_allowed(src, caps, dst)
 
 
 def test_check_send_monotone_in_destination():
