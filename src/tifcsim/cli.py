@@ -2,32 +2,29 @@
 
 Subcommands: validate, run, paired, leakage, check-labels. Exit codes:
 0 success, 1 assertion/leakage failure, 2 configuration error, 3 denied
-flow under fatal monitor mode. Seed precedence: --seed, then the
-TIFC_SIM_SEED environment variable, then the config file.
+flow under fatal monitor mode. --seed, when given, replaces the config
+file's seed. run writes trace.jsonl and chart.txt into --out.
 
 A config file is one JSON object: a full scenario (users, cores, scheduler
 {kind, users}, pacer {f, first_tick}, grants, jobs [{owner, work, payload,
-arrival, demand_visible}], horizon, seed, monitor_mode), a shorthand
-scenario (scenario, f, pacer, users, horizon, seed, monitor_mode) or, for
-leakage, an experiment (f, short, long, probe, frame, paced, topology,
-message_len, bitstring, trials, horizon, seed). The --expect file is a list
-of {kind, entity, detail, occurrence, label}. An unknown key, a missing
-required key or a value of the wrong type is a configuration error naming
-its key path.
+arrival}], horizon, seed, monitor_mode), a shorthand scenario (scenario, f,
+pacer, users, horizon, seed, monitor_mode) or, for leakage, an experiment
+(f, short, long, probe, frame, paced, topology, message_len, trials,
+horizon, seed). The --expect file is a list of {kind, entity, detail,
+occurrence, label}. An unknown key, a missing required key or a value of
+the wrong type is a configuration error naming its key path.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .kernel import ConfigError, MonitorFault, TraceRecord, trace_to_jsonl
+from .kernel import ConfigError, MonitorFault, trace_to_jsonl
 from .leakage import CovertExperiment, measure
 from .scenarios import (
     ScenarioConfig,
@@ -51,7 +48,8 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bad UTF-8, an over-long integer or too-deep nesting
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -62,58 +60,27 @@ def load_scenario(path: str, seed: Optional[int]) -> ScenarioConfig:
     return cfg
 
 
-def _resolve_seed(args) -> Optional[int]:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("TIFC_SIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"bad TIFC_SIM_SEED {env!r}") from exc
-    return None
-
-
-def _write_trace(trace: List[TraceRecord], out: Path, fmt: str) -> Path:
-    if fmt == "jsonl":
-        path = out / "trace.jsonl"
-        path.write_text(trace_to_jsonl(trace), encoding="utf-8")
-    elif fmt == "csv":
-        path = out / "trace.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "kind", "entity", "label", "detail"])
-            for r in trace:
-                writer.writerow([
-                    r.t,
-                    r.kind.value,
-                    r.entity,
-                    str(r.label) if r.label is not None else "",
-                    json.dumps(dict(r.detail), sort_keys=True),
-                ])
-    else:
-        path = out / "trace.txt"
-        lines = []
-        for r in trace:
-            detail = " ".join(f"{k}={v}" for k, v in sorted(r.detail.items()))
-            label = str(r.label) if r.label is not None else "-"
-            lines.append(f"t={r.t:<5} {r.kind.value:<13} {r.entity:<10} {label} {detail}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+def _out_dir(path: str) -> Path:
+    """Make the output directory before any run, so a bad --out costs none."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
+    return Path(path)
 
 
 def cmd_validate(args) -> int:
-    cfg = load_scenario(args.config, _resolve_seed(args))
+    cfg = load_scenario(args.config, args.seed)
     print(cfg.canonical_json())
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    cfg = load_scenario(args.config, _resolve_seed(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg = load_scenario(args.config, args.seed)
+    out = _out_dir(args.out)
     run = run_scenario(cfg)
-    trace_path = _write_trace(run.trace, out, args.format)
+    trace_path = out / "trace.jsonl"
+    trace_path.write_text(trace_to_jsonl(run.trace), encoding="utf-8")
     chart_path = out / "chart.txt"
     chart_path.write_text(render_schedule(run.trace, cfg) + "\n", encoding="utf-8")
     print(f"wrote {trace_path} and {chart_path} ({len(run.trace)} records)")
@@ -121,10 +88,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_paired(args) -> int:
-    cfg = load_scenario(args.config, _resolve_seed(args))
+    cfg = load_scenario(args.config, args.seed)
+    out = _out_dir(args.out)
     report = run_paired(cfg, args.short, args.long)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(report.to_json_obj(), sort_keys=True, indent=2)
         + "\n",
@@ -138,12 +104,10 @@ def cmd_paired(args) -> int:
 
 def cmd_leakage(args) -> int:
     exp = CovertExperiment.from_json_obj(_load_json(args.config))
-    seed = _resolve_seed(args)
-    if seed is not None:
-        exp = dataclasses.replace(exp, seed=seed)
+    if args.seed is not None:
+        exp = dataclasses.replace(exp, seed=args.seed)
+    out = _out_dir(args.out)
     report = measure(exp)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(report.csv_text(), encoding="utf-8")
     (out / "report.json").write_text(
         json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n",
@@ -155,8 +119,7 @@ def cmd_leakage(args) -> int:
 
 
 def cmd_check_labels(args) -> int:
-    cfg = load_scenario(args.config, _resolve_seed(args))
-    run = run_scenario(cfg)
+    cfg = load_scenario(args.config, args.seed)
     if args.expect:
         expectations = read_expectations(_load_json(args.expect), "expect")
     else:
@@ -164,7 +127,11 @@ def cmd_check_labels(args) -> int:
         if not expectations:
             raise ConfigError("no default expectations for this topology; "
                               "pass --expect")
-    checks = assert_labels(run.trace, expectations)
+        first = cfg.users[0]
+        if not any(j.owner == first for j in cfg.jobs):
+            raise ConfigError(f"the default expectations are about user {first}'s "
+                              f"first job, and {first} has no jobs; pass --expect")
+    checks = assert_labels(run_scenario(cfg).trace, expectations)
     for c in checks:
         print(c)
     return EXIT_OK if all(c.ok for c in checks) else EXIT_ASSERTION
@@ -189,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one scenario; write trace and chart")
     common(p)
-    p.add_argument("--format", choices=("jsonl", "csv", "txt"), default="jsonl")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("paired", help="short-vs-long comparison run")

@@ -71,7 +71,6 @@ class JobSpec:
     work: int
     payload: str = ""
     arrival: int = 0
-    demand_visible: bool = True
 
 
 @dataclass
@@ -83,7 +82,6 @@ class Job:
     work: int
     payload_bits: str
     label: Label
-    demand_visible: bool = True
     remaining: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -148,8 +146,7 @@ class Gateway(Entity):
         assert self.core is not None, "gateway not wired to a core"
         if spec.owner not in self.core.slots:
             raise ConfigError(f"{self.core.id} has no slot for {spec.owner!r}")
-        job = Job(job_id, spec.owner, spec.work, spec.payload, self.stamp,
-                  spec.demand_visible)
+        job = Job(job_id, spec.owner, spec.work, spec.payload, self.stamp)
         sim.emit(TraceKind.JOB_ARRIVE, self.id, label=job.label,
                  job=job.job_id, owner=job.owner, work=job.work)
         if self.monitor.send(sim, self, self.core, job.label, f"job_{job_id}",
@@ -196,12 +193,6 @@ class ComputeCore(Entity):
         self.clearance = self.demand_label = max_label(self.users)
         self.routes: Dict[str, Union["Pacer", Gateway]] = {}
         self._last_slice_tick = -1
-
-    def demand_snapshot(self) -> Dict[str, bool]:
-        """Per-user boolean: any visible queued or running work."""
-        return {
-            u: any(j.demand_visible for j in q) for u, q in self.slots.items()
-        }
 
     def taint_jobs(self, sim: Engine, ctrl_label: Label) -> None:
         """Join a control message's label into every queued job's timing."""
@@ -375,8 +366,4 @@ class DemandScheduler(Scheduler):
     def decide(self, sim: Engine) -> Optional[str]:
         if not offer_demand(sim, self.monitor, self.core, self).allowed:
             return None
-        demand = self.core.demand_snapshot()
-        for user in self.order:
-            if demand.get(user):
-                return user
-        return None
+        return next((u for u in self.order if self.core.slots[u]), None)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import count
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from .labels import Label
 
@@ -113,25 +112,16 @@ class Entity:
 
 
 class Engine:
-    """Single-threaded event loop with trace emission.
+    """Single-threaded event loop; ``trace`` keeps every emitted record in order."""
 
-    The trace is retained in memory (optionally bounded to the most recent
-    ``trace_limit`` records) and streamed to ``sink`` if given.
-    """
-
-    def __init__(
-        self,
-        trace_limit: Optional[int] = None,
-        sink: Optional[Callable[[TraceRecord], None]] = None,
-    ):
+    def __init__(self):
         # Heap of (time, phase, seq, target id, payload); seq is unique, so
         # the order never reaches the last two fields.
         self._queue: List[tuple] = []
         self._seq = count()
         self._now = 0
         self._entities: Dict[str, Entity] = {}
-        self._trace: deque = deque(maxlen=trace_limit)
-        self._sink = sink
+        self.trace: List[TraceRecord] = []
 
     @property
     def now(self) -> int:
@@ -176,22 +166,17 @@ class Engine:
             label=label,
             detail={k: str(v) for k, v in detail.items()},
         )
-        self._trace.append(record)
-        if self._sink is not None:
-            self._sink(record)
+        self.trace.append(record)
         return record
 
     def run_until(self, t_end: int) -> List[TraceRecord]:
-        """Execute every event with time <= t_end; clock ends at t_end."""
+        """Execute every event with time <= t_end; clock ends at t_end.
+        Returns ``trace`` itself, not a copy."""
         while self._queue and self._queue[0][0] <= t_end:
             self._now, _, _, target, payload = heapq.heappop(self._queue)
             self._entities[target].handle(self, payload)
         self._now = max(self._now, t_end)
-        return list(self._trace)
-
-    @property
-    def trace(self) -> Tuple[TraceRecord, ...]:
-        return tuple(self._trace)
+        return self.trace
 
 
 def trace_to_jsonl(records) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .entities import check_bits, pacer_clock
+from .entities import pacer_clock
 from .kernel import ConfigError
 from .labels import INFINITY, Capability, Frequency
 from .scenarios import (
@@ -54,8 +54,8 @@ class CovertExperiment:
     """One covert-channel measurement campaign.
 
     Each trial uses seed ``seed + trial`` to draw a fresh random message of
-    ``message_len`` bits (or the fixed ``bitstring`` when given). The
-    encoding maps bit 0 to a ``short_work`` job and bit 1 to ``long_work``.
+    ``message_len`` bits. The encoding maps bit 0 to a ``short_work`` job
+    and bit 1 to ``long_work``.
 
     The defaults give frames of one period in which both symbols complete.
     Paced, the channel is squeezed to (near) nothing; unpaced, it decodes
@@ -70,7 +70,6 @@ class CovertExperiment:
     paced: bool = True
     topology: str = "shared"  # "shared" | "dedicated"
     message_len: int = 64
-    bitstring: Optional[str] = None
     trials: int = 10
     horizon: int = 2048
     seed: int = 1
@@ -83,18 +82,15 @@ class CovertExperiment:
             raise ConfigError("job lengths must be >= 1")
         if self.topology not in ("shared", "dedicated"):
             raise ConfigError(f"unknown topology {self.topology!r}")
-        n = len(self.bitstring) if self.bitstring is not None else self.message_len
-        if n < 64:
+        if self.message_len < 64:
             raise ConfigError("message must be at least 64 bits for rate estimates")
-        if self.bitstring is not None:
-            check_bits(self.bitstring, "bitstring")
         if self.frame < period or self.frame % period != 0:
             raise ConfigError("frame must be a positive whole number of pacer periods")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
-        if self.horizon < n * self.frame + period:
+        if self.horizon < self.message_len * self.frame + period:
             raise ConfigError(
-                f"horizon {self.horizon} too short for {n} frames of "
+                f"horizon {self.horizon} too short for {self.message_len} frames of "
                 f"{self.frame} ticks plus one period"
             )
 
@@ -111,8 +107,6 @@ class CovertExperiment:
         return self.freq.as_fraction()
 
     def message_for(self, seed: int) -> str:
-        if self.bitstring is not None:
-            return self.bitstring
         rng = random.Random(seed)
         return "".join("1" if rng.random() < 0.5 else "0"
                        for _ in range(self.message_len))
@@ -126,7 +120,7 @@ _read_experiment = json_object(
     CovertExperiment,
     {"f": FREQ, "short": INT, "long": INT, "probe": INT, "frame": optional(INT),
      "paced": BOOL, "topology": STR, "message_len": INT,
-     "bitstring": optional(STR), "trials": INT, "horizon": INT, "seed": INT},
+     "trials": INT, "horizon": INT, "seed": INT},
     rename={"f": "freq", "short": "short_work", "long": "long_work",
             "probe": "probe_work", "frame": "frame_ticks"},
 )

@@ -284,8 +284,7 @@ _read_full = json_object(ScenarioConfig, {
     "grants": map_of(list_of(parsed(Capability.parse))),
     "jobs": list_of(json_object(
         JobSpec,
-        {"owner": STR, "work": INT, "payload": STR, "arrival": INT,
-         "demand_visible": BOOL},
+        {"owner": STR, "work": INT, "payload": STR, "arrival": INT},
         required=("owner", "work"))),
     **_COMMON,
 }, required=("users",))
@@ -301,10 +300,10 @@ class ScenarioRun:
     trace: List[TraceRecord]
 
 
-def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor]:
+def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
     """Instantiate entities for a config and schedule the initial events
     (arrivals, scheduler/core ticks, pacer clock)."""
-    engine = Engine(sink=sink)
+    engine = Engine()
     monitor = Monitor(cfg.monitor_mode)
 
     gateways = {
@@ -358,8 +357,8 @@ def wire(cfg: ScenarioConfig, sink=None) -> Tuple[Engine, Monitor]:
     return engine, monitor
 
 
-def run_scenario(cfg: ScenarioConfig, sink=None) -> ScenarioRun:
-    engine, _ = wire(cfg, sink=sink)
+def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
+    engine, _ = wire(cfg)
     trace = engine.run_until(cfg.horizon)
     return ScenarioRun(config=cfg, trace=trace)
 
@@ -575,6 +574,8 @@ def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRu
     observer, vary = cfg.users[:2]
     if not any(j.owner == vary for j in cfg.jobs):
         raise ConfigError(f"paired runs vary user {vary}, who has no jobs")
+    if not any(j.owner == observer for j in cfg.jobs):
+        raise ConfigError(f"paired runs observe user {observer}, who has no jobs")
 
     def with_work(work: int) -> ScenarioConfig:
         jobs = tuple(
@@ -597,8 +598,9 @@ def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRu
             diff.append({"index": i, "short": s, "long": l})
 
     kind = cfg.classify()
-    checks = assert_labels(run_short.trace, default_label_expectations(cfg_short))
-    checks += assert_labels(run_long.trace, default_label_expectations(cfg_long))
+    expectations = default_label_expectations(cfg)  # independent of job work
+    checks = assert_labels(run_short.trace, expectations)
+    checks += assert_labels(run_long.trace, expectations)
 
     boundary_ok: Optional[bool] = None
     if cfg.pacer is not None:

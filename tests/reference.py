@@ -29,9 +29,8 @@ def _cap_strength(caps: Iterable[Capability], user: str) -> Optional[Frequency]:
     for cap in caps:
         if cap.user != user:
             continue
-        strength = INFINITY if cap.limit is None else cap.limit
-        if best is None or strength > best:
-            best = strength
+        if best is None or cap.limit > best:
+            best = cap.limit
     return best
 
 
@@ -39,7 +38,7 @@ def _cap_removes_content(caps: Iterable[Capability], user: str) -> bool:
     for cap in caps:
         if cap.user != user:
             continue
-        if cap.limit is None or cap.limit.is_infinite:
+        if cap.limit.is_infinite:
             return True
     return False
 

@@ -58,16 +58,6 @@ def test_run_same_invocation_byte_identical(statmux_cfg, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_run_formats(statmux_cfg, tmp_path):
-    out = tmp_path / "fmt"
-    assert main(["run", "--config", statmux_cfg, "--out", str(out),
-                 "--format", "csv"]) == 0
-    assert (out / "trace.csv").read_text().startswith("t,kind,entity,label,detail")
-    assert main(["run", "--config", statmux_cfg, "--out", str(out),
-                 "--format", "txt"]) == 0
-    assert "PacerRelease" in (out / "trace.txt").read_text()
-
-
 def test_paired_pass_and_report_files(statmux_cfg, tmp_path):
     out = tmp_path / "paired"
     assert main(["paired", "--config", statmux_cfg, "--short", "2",
@@ -129,8 +119,7 @@ FULL = {
     "cores": "shared",
     "scheduler": {"kind": "demand", "users": ["A", "B"]},
     "pacer": {"f": "1/5", "first_tick": 2},
-    "jobs": [{"owner": "A", "work": 2, "payload": "01", "arrival": 0,
-              "demand_visible": True}],
+    "jobs": [{"owner": "A", "work": 2, "payload": "01", "arrival": 0}],
     "horizon": 20,
 }
 SHORT = {"scenario": "statmux", "f": "1/5"}
@@ -147,6 +136,14 @@ def edit(base, path, value):
     return obj
 
 
+# Raw bytes that are not JSON the decoder can return: not UTF-8, an integer
+# over Python's digit limit, nesting deeper than the recursion limit.
+NOT_JSON = {
+    "not-utf8": b'{"users": ["A\xff"]}',
+    "long-int": b'{"horizon": ' + b"9" * 5000 + b"}",
+    "deep-array": b"[" * 100_000 + b"]" * 100_000,
+}
+
 # (command, file content, text naming the offending key on stderr); bytes are
 # written raw. After the first three rows, each input once exited 1 (a
 # traceback or a false verdict) or was silently accepted.
@@ -154,6 +151,9 @@ CONFIG_ERRORS = [
     pytest.param("run", None, "cannot read", id="missing-file"),
     pytest.param("run", b"{not json", "not valid JSON", id="bad-json"),
     pytest.param("run", {"scenario": "statmux"}, "frequency", id="shorthand-no-f"),
+    *(pytest.param(command, raw, "not valid JSON", id=f"{prefix}-{name}")
+      for name, raw in NOT_JSON.items()
+      for command, prefix in (("validate", "config"), ("expect", "expect"))),
     pytest.param("run", [1, 2], "config: expected an object", id="top-list"),
     pytest.param("run", "hello", "config: expected an object", id="top-string"),
     pytest.param("run", edit(FULL, ["jobs", 0, "payload"], 5), "jobs[0].payload",
@@ -180,7 +180,7 @@ CONFIG_ERRORS = [
     pytest.param("validate", edit(FULL, ["pacer", "first_tick"], -1),
                  "pacer.first_tick", id="first-tick-negative"),
     pytest.param("run", edit(FULL, ["jobs", 0, "demand_visible"], "no"),
-                 "jobs[0].demand_visible", id="demand-visible-str"),
+                 "config.jobs[0].demand_visible: unknown key", id="demand-visible-str"),
     pytest.param("run", edit(FULL, ["pacre"], {"f": "1/5"}), "pacre",
                  id="unknown-key"),
     pytest.param("run", edit(SHORT, ["pacer"], "no"), "pacer", id="shorthand-pacer-str"),
@@ -188,6 +188,10 @@ CONFIG_ERRORS = [
     pytest.param("paired", {"scenario": "dedicated", "users": ["A"]}, "second user",
                  id="paired-one-user"),
     pytest.param("paired", FULL, "user B, who has no jobs", id="paired-vary-no-jobs"),
+    pytest.param("paired", edit(SHORT, ["users"], ["C", "B"]), "user C, who has no jobs",
+                 id="paired-observer-no-jobs"),
+    pytest.param("check-labels", edit(SHORT, ["users"], ["C", "D"]),
+                 "C has no jobs; pass --expect", id="check-labels-first-user-no-jobs"),
     pytest.param("leakage", [1], "config: expected an object", id="leakage-list"),
     pytest.param("leakage", edit(LEAK, ["seed"], "a"), "seed", id="leakage-seed-str"),
     pytest.param("leakage", edit(LEAK, ["paced"], "no"), "paced",
@@ -195,6 +199,8 @@ CONFIG_ERRORS = [
     pytest.param("leakage", edit(LEAK, ["short"], 1.5), "short",
                  id="leakage-short-float"),
     pytest.param("leakage", edit(LEAK, ["bogus"], 3), "bogus", id="leakage-unknown-key"),
+    pytest.param("leakage", edit(LEAK, ["bitstring"], "01" * 40),
+                 "config.bitstring: unknown key", id="leakage-bitstring"),
     pytest.param("leakage", edit(LEAK, ["frame"], 0), "frame", id="leakage-frame-0"),
     pytest.param("expect", [1], "[0]", id="expect-item-int"),
     pytest.param("expect", [{"occurrence": "x", "label": "{-/-}"}], "[0].occurrence",
@@ -216,7 +222,7 @@ def test_config_errors_exit_2(command, content, key, tmp_path, capsys):
                 "--expect", str(path)]
     else:
         argv = [command, "--config", str(path)]
-        if command != "validate":
+        if command in ("run", "paired", "leakage"):
             argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert key in capsys.readouterr().err
@@ -229,18 +235,26 @@ def test_fatal_monitor_exit_3(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
-def test_env_seed_fallback(statmux_cfg, capsys, monkeypatch):
-    monkeypatch.setenv("TIFC_SIM_SEED", "777")
-    assert main(["validate", "--config", statmux_cfg]) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 777
-    monkeypatch.setenv("TIFC_SIM_SEED", "xyz")
-    assert main(["validate", "--config", statmux_cfg]) == 2
+@pytest.mark.parametrize("command", ["run", "paired", "leakage"])
+def test_out_naming_a_file_exits_2_before_any_run(command, tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", LEAK if command == "leakage" else SHORT)
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    never = mock.Mock(side_effect=AssertionError("ran before making --out"))
+    with mock.patch("tifcsim.cli.run_scenario", never), \
+            mock.patch("tifcsim.cli.run_paired", never), \
+            mock.patch("tifcsim.cli.measure", never):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "cannot make output directory" in capsys.readouterr().err
 
 
 def test_seed_flag_beats_env(statmux_cfg, capsys, monkeypatch):
+    # no environment variable sets the seed; only --seed replaces the config's
     monkeypatch.setenv("TIFC_SIM_SEED", "777")
     assert main(["validate", "--config", statmux_cfg, "--seed", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert main(["validate", "--config", statmux_cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
 
 
 def test_unknown_flags_rejected(statmux_cfg):
@@ -266,7 +280,7 @@ VALID = {
     "run": [FULL, SMALL],
     "leakage": [{"f": "1/5", "short": 1, "long": 3, "probe": 1, "frame": 5,
                  "paced": True, "topology": "shared", "message_len": 64,
-                 "bitstring": None, "trials": 1, "horizon": 400, "seed": 3}],
+                 "trials": 1, "horizon": 400, "seed": 3}],
     "check-labels": [[{"kind": "PacerRelease", "entity": "pacer_A",
                        "detail": {"msg": "res_A0"}, "occurrence": 0,
                        "label": "{A/A:1/5,B:1/5}"}]],

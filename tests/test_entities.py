@@ -143,16 +143,6 @@ def test_queued_jobs_run_fifo_within_a_slot():
     assert done == [(1, "A0"), (2, "A1")]
 
 
-def test_demand_snapshot_respects_visibility():
-    sim, _, core, _ = make_core(users=("A", "B"))
-    hidden = Job("B0", "B", 2, "0", Label(("B",), {"B": INFINITY}),
-                 demand_visible=False)
-    core.slots["B"].append(hidden)
-    assert core.demand_snapshot() == {"A": False, "B": False}
-    core.slots["A"].append(job())
-    assert core.demand_snapshot() == {"A": True, "B": False}
-
-
 # -- pacer -------------------------------------------------------------------------
 
 
@@ -259,7 +249,7 @@ def test_ingress_to_core_without_owner_slot_is_config_fault():
     stray.core = core
     with pytest.raises(ConfigError):
         stray.ingress(sim, JobSpec("B", 2, "11"), "B0")
-    assert sim.trace == ()
+    assert sim.trace == []
 
 
 def test_ingress_gives_independent_labels():

@@ -110,26 +110,6 @@ def test_no_time_regression_during_run():
     assert times == sorted(times)
 
 
-def test_trace_limit_bounds_retention():
-    sim = Engine(trace_limit=3)
-    p = sim.add(Probe("p"))
-    for t in range(10):
-        sim.schedule(t, p, ("x",))
-    trace = sim.run_until(10)
-    assert len(trace) == 3
-    assert [r.t for r in trace] == [7, 8, 9]
-
-
-def test_sink_streams_every_record():
-    got = []
-    sim = Engine(sink=got.append)
-    p = sim.add(Probe("p"))
-    sim.schedule(0, p, ("x",))
-    sim.schedule(1, p, ("y",))
-    trace = sim.run_until(2)
-    assert got == trace
-
-
 def test_record_json_roundtrip():
     rec = TraceRecord(5, TraceKind.PACER_RELEASE, "pacer_A",
                       label=Label.parse("{A/A:1/5}"), detail={"msg": "res_A0"})

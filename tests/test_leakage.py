@@ -44,8 +44,6 @@ def test_experiment_validation():
     with pytest.raises(ConfigError):
         CovertExperiment(message_len=8)
     with pytest.raises(ConfigError):
-        CovertExperiment(bitstring="01" * 40 + "x")
-    with pytest.raises(ConfigError):
         CovertExperiment(freq=Frequency(2, 3))
     with pytest.raises(ConfigError):
         CovertExperiment(frame_ticks=7)  # not a whole number of periods

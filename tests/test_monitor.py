@@ -139,14 +139,13 @@ def test_monitor_records_allow_and_deny():
 
 
 def test_monitor_empty_audit_log():
-    # nothing is recorded before a decision, and decision records are
-    # bounded by trace_limit like every other record
-    sim = Engine(trace_limit=2)
+    # nothing is recorded before a decision, and each decision adds one record
+    sim = Engine()
     monitor = Monitor()
-    assert sim.trace == ()
+    assert sim.trace == []
     for _ in range(3):
         _decide(monitor, sim, EMPTY_LABEL, EMPTY_CAPS, EMPTY_LABEL)
-    assert len(sim.trace) == 2
+    assert len(sim.trace) == 3
 
 
 def test_fatal_mode_raises_with_record():
