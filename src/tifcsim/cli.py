@@ -1,18 +1,19 @@
 """Command-line front end.
 
 Subcommands: validate, run, paired, leakage, check-labels. Exit codes:
-0 success, 1 assertion/leakage failure, 2 configuration error, 3 denied
-flow under fatal monitor mode. --seed, when given, replaces the config
-file's seed. run writes trace.jsonl and chart.txt into --out.
+0 success, 1 assertion/leakage failure, 2 configuration error (an output
+file that cannot be written included), 3 denied flow under fatal monitor
+mode. --seed, when given, replaces the config file's seed. run writes
+trace.jsonl and chart.txt into --out.
 
 A config file is one JSON object: a full scenario (users, cores, scheduler
-{kind, users}, pacer {f, first_tick}, grants, jobs [{owner, work, payload,
-arrival}], horizon, seed, monitor_mode), a shorthand scenario (scenario, f,
-pacer, users, horizon, seed, monitor_mode) or, for leakage, an experiment
-(f, short, long, probe, frame, paced, topology, message_len, trials,
-horizon, seed). The --expect file is a list of {kind, entity, detail,
-occurrence, label}. An unknown key, a missing required key or a value of
-the wrong type is a configuration error naming its key path.
+{kind, users}, pacer {f}, grants, jobs [{owner, work, payload, arrival}],
+horizon, seed, monitor_mode), a shorthand scenario (scenario, f, pacer,
+users, horizon, seed, monitor_mode) or, for leakage, an experiment (f,
+short, long, frame, paced, topology, trials, horizon, seed). The --expect
+file is a list of {kind, entity, detail, occurrence, label}. An unknown
+key, a missing required key or a value of the wrong type is a
+configuration error naming its key path.
 """
 
 from __future__ import annotations
@@ -69,6 +70,13 @@ def _out_dir(path: str) -> Path:
     return Path(path)
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_validate(args) -> int:
     cfg = load_scenario(args.config, args.seed)
     print(cfg.canonical_json())
@@ -80,9 +88,9 @@ def cmd_run(args) -> int:
     out = _out_dir(args.out)
     run = run_scenario(cfg)
     trace_path = out / "trace.jsonl"
-    trace_path.write_text(trace_to_jsonl(run.trace), encoding="utf-8")
+    _write(trace_path, trace_to_jsonl(run.trace))
     chart_path = out / "chart.txt"
-    chart_path.write_text(render_schedule(run.trace, cfg) + "\n", encoding="utf-8")
+    _write(chart_path, render_schedule(run.trace, cfg) + "\n")
     print(f"wrote {trace_path} and {chart_path} ({len(run.trace)} records)")
     return EXIT_OK
 
@@ -91,12 +99,9 @@ def cmd_paired(args) -> int:
     cfg = load_scenario(args.config, args.seed)
     out = _out_dir(args.out)
     report = run_paired(cfg, args.short, args.long)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json_obj(), sort_keys=True, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
-    (out / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
+    _write(out / "report.json",
+           json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n")
+    _write(out / "report.txt", report.to_text() + "\n")
     print(f"paired {report.scenario}: {'PASS' if report.passed else 'FAIL'} "
           f"({len(report.alice_diff)} boundary diffs)")
     return EXIT_OK if report.passed else EXIT_ASSERTION
@@ -108,11 +113,9 @@ def cmd_leakage(args) -> int:
         exp = dataclasses.replace(exp, seed=args.seed)
     out = _out_dir(args.out)
     report = measure(exp)
-    (out / "report.csv").write_text(report.csv_text(), encoding="utf-8")
-    (out / "report.json").write_text(
-        json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write(out / "report.csv", report.csv_text())
+    _write(out / "report.json",
+           json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n")
     print(f"leakage: max rate {float(report.max_rate):.6g} vs bound "
           f"{float(report.bound):.6g} -> {'PASS' if report.all_pass else 'FAIL'}")
     return EXIT_OK if report.all_pass else EXIT_ASSERTION

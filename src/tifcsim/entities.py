@@ -16,7 +16,7 @@ import dataclasses
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Iterable, Optional, Sequence, Union
 
 from .kernel import ConfigError, Engine, Entity, Phase, SimError, TraceKind
 from .labels import EMPTY_CAPS, INFINITY, CapabilitySet, Frequency, Label
@@ -42,19 +42,14 @@ def check_process_label(label: Label) -> Label:
     return label
 
 
-def pacer_clock(freq: Frequency, first_tick: Optional[int] = None) -> Tuple[int, int]:
-    """Period and first tick of a pacer's clock. A pacer fires on whole
-    ticks, so its frequency must be 1/k; it first fires one period in
-    unless ``first_tick`` says otherwise."""
+def pacer_period(freq: Frequency) -> int:
+    """Ticks between a pacer's releases. A pacer fires on whole ticks, so
+    its frequency must be 1/k."""
     if freq.is_infinite or freq.numerator != 1:
         raise ConfigError(
             f"pacer frequency must be 1/k for a whole number of ticks, got {freq}"
         )
-    if first_tick is None:
-        return freq.denominator, freq.denominator
-    if type(first_tick) is not int or first_tick < 0:
-        raise ConfigError(f"pacer.first_tick must be an integer >= 0, got {first_tick!r}")
-    return freq.denominator, first_tick
+    return freq.denominator
 
 
 def check_bits(bits: str, name: str = "payload") -> str:
@@ -116,21 +111,12 @@ class Gateway(Entity):
 
     phase = Phase.GATEWAY
 
-    def __init__(
-        self,
-        owner: str,
-        users: Sequence[str],
-        monitor: Monitor,
-        caps: CapabilitySet = EMPTY_CAPS,
-    ):
+    def __init__(self, owner: str, monitor: Monitor, caps: CapabilitySet = EMPTY_CAPS):
         super().__init__(f"gw_{owner}")
         self.owner = owner
         self.monitor = monitor
         self.caps = caps
         self.stamp = Label((owner,), {owner: INFINITY})
-        self.accept_label = self.stamp
-        # Results come back with any user's timing taint attached.
-        self.clearance = Label((owner,), {u: INFINITY for u in users})
         self.core: Optional["ComputeCore"] = None
 
     def handle(self, sim: Engine, payload: tuple) -> None:
@@ -158,7 +144,7 @@ class Gateway(Entity):
         decision = self.monitor.decide(
             sim, at=self.id, src=self.id, dst=f"user_{self.owner}",
             src_label=msg.label, caps=self.caps,
-            dst_label=self.accept_label, msg=msg.msg_id,
+            dst_label=self.stamp, msg=msg.msg_id,
         )
         if decision.allowed:
             sim.emit(TraceKind.MSG_RECV, self.id, label=msg.label,
@@ -251,7 +237,7 @@ class ComputeCore(Entity):
 class Pacer(Entity):
     """FIFO queue whose output releases at most one message per clock tick.
 
-    The clock fires at ``first_tick`` and every period after; a release
+    The clock fires at each positive multiple of the period; a release
     downgrades the message's timing tags to the pacer's frequency. Between
     ticks nothing leaves, so the queue's observable emptiness carries at
     most one bit per period.
@@ -265,12 +251,11 @@ class Pacer(Entity):
         freq: Frequency,
         users: Sequence[str],
         downstream: Gateway,
-        first_tick: Optional[int] = None,
     ):
         super().__init__(f"pacer_{owner}")
         self.owner = owner
         self.freq = freq
-        self.period, self.first_tick = pacer_clock(freq, first_tick)
+        self.period = pacer_period(freq)
         self.downstream = downstream
         self.clearance = Label((owner,), {u: INFINITY for u in users})
         self.queue: Deque[Message] = deque()

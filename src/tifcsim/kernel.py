@@ -33,16 +33,12 @@ class ConfigError(SimError):
     """Invalid scenario or entity configuration."""
 
 
-class SimFault(SimError):
-    """An entity fault surfaced out of the run, with the offending record."""
+class MonitorFault(SimError):
+    """A denied flow under fatal monitor mode, with the denial record."""
 
     def __init__(self, message: str, record: "TraceRecord"):
         super().__init__(message)
         self.record = record
-
-
-class MonitorFault(SimFault):
-    """A denied flow under fatal monitor mode."""
 
 
 class Phase(IntEnum):

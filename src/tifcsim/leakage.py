@@ -22,9 +22,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .entities import pacer_clock
+from .entities import pacer_period
 from .kernel import ConfigError
 from .labels import INFINITY, Capability, Frequency
 from .scenarios import (
@@ -33,7 +33,6 @@ from .scenarios import (
     INT,
     STR,
     JobSpec,
-    PacerSpec,
     ScenarioConfig,
     SchedulerSpec,
     boundary_records,
@@ -41,6 +40,10 @@ from .scenarios import (
     optional,
     run_scenario,
 )
+
+
+PROBE_SLICES = 1  # work of the receiver's probe job in every frame
+MESSAGE_BITS = 64  # bits per trial: enough frames for a rate estimate
 
 
 def binary_entropy(p: float) -> float:
@@ -54,7 +57,7 @@ class CovertExperiment:
     """One covert-channel measurement campaign.
 
     Each trial uses seed ``seed + trial`` to draw a fresh random message of
-    ``message_len`` bits. The encoding maps bit 0 to a ``short_work`` job
+    ``MESSAGE_BITS`` bits. The encoding maps bit 0 to a ``short_work`` job
     and bit 1 to ``long_work``.
 
     The defaults give frames of one period in which both symbols complete.
@@ -65,38 +68,34 @@ class CovertExperiment:
     freq: Frequency = Frequency(1, 5)
     short_work: int = 1
     long_work: int = 3
-    probe_work: int = 1
     frame_ticks: Optional[int] = None  # default: one pacer period
     paced: bool = True
     topology: str = "shared"  # "shared" | "dedicated"
-    message_len: int = 64
     trials: int = 10
     horizon: int = 2048
     seed: int = 1
 
     def __post_init__(self) -> None:
-        period, _ = pacer_clock(self.freq)
+        period = pacer_period(self.freq)
         if self.short_work == self.long_work:
             raise ConfigError("encoding job lengths must be distinct")
-        if min(self.short_work, self.long_work, self.probe_work) < 1:
+        if min(self.short_work, self.long_work) < 1:
             raise ConfigError("job lengths must be >= 1")
         if self.topology not in ("shared", "dedicated"):
             raise ConfigError(f"unknown topology {self.topology!r}")
-        if self.message_len < 64:
-            raise ConfigError("message must be at least 64 bits for rate estimates")
         if self.frame < period or self.frame % period != 0:
             raise ConfigError("frame must be a positive whole number of pacer periods")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
-        if self.horizon < self.message_len * self.frame + period:
+        if self.horizon < MESSAGE_BITS * self.frame + period:
             raise ConfigError(
-                f"horizon {self.horizon} too short for {self.message_len} frames of "
+                f"horizon {self.horizon} too short for {MESSAGE_BITS} frames of "
                 f"{self.frame} ticks plus one period"
             )
 
     @property
     def period(self) -> int:
-        return pacer_clock(self.freq)[0]
+        return pacer_period(self.freq)
 
     @property
     def frame(self) -> int:
@@ -109,7 +108,7 @@ class CovertExperiment:
     def message_for(self, seed: int) -> str:
         rng = random.Random(seed)
         return "".join("1" if rng.random() < 0.5 else "0"
-                       for _ in range(self.message_len))
+                       for _ in range(MESSAGE_BITS))
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "CovertExperiment":
@@ -118,11 +117,10 @@ class CovertExperiment:
 
 _read_experiment = json_object(
     CovertExperiment,
-    {"f": FREQ, "short": INT, "long": INT, "probe": INT, "frame": optional(INT),
-     "paced": BOOL, "topology": STR, "message_len": INT,
-     "trials": INT, "horizon": INT, "seed": INT},
+    {"f": FREQ, "short": INT, "long": INT, "frame": optional(INT),
+     "paced": BOOL, "topology": STR, "trials": INT, "horizon": INT, "seed": INT},
     rename={"f": "freq", "short": "short_work", "long": "long_work",
-            "probe": "probe_work", "frame": "frame_ticks"},
+            "frame": "frame_ticks"},
 )
 
 
@@ -132,7 +130,7 @@ def straddle_experiment(freq: Frequency = Frequency(1, 5), **overrides) -> Cover
     The paced channel then genuinely leaks about half a bit per period,
     sitting below the bound rather than at zero: the bounded-leak regime.
     """
-    period, _ = pacer_clock(freq)
+    period = pacer_period(freq)
     params = dict(
         freq=freq,
         short_work=1,
@@ -145,54 +143,39 @@ def straddle_experiment(freq: Frequency = Frequency(1, 5), **overrides) -> Cover
     return CovertExperiment(**params)
 
 
-def encode_demand(bits: str, encoding: Mapping[str, int],
-                  frame_ticks: int, owner: str = "B") -> Tuple[JobSpec, ...]:
-    """One sender job per frame; the bit picks the job length."""
-    jobs = []
-    for i, bit in enumerate(bits):
-        jobs.append(JobSpec(
-            owner=owner,
-            work=encoding[bit],
-            payload=bit,
-            arrival=i * frame_ticks,
-        ))
-    return tuple(jobs)
-
-
-def build_config(exp: CovertExperiment, bits: str, seed: int) -> ScenarioConfig:
-    """Scenario for one trial: receiver probes + encoded sender demand."""
+def build_config(exp: CovertExperiment, bits: str) -> ScenarioConfig:
+    """Scenario for one trial: in each frame the receiver's probe and the
+    sender's job, whose length encodes the frame's bit."""
     users = ("A", "B")
-    probes = tuple(
-        JobSpec(owner="A", work=exp.probe_work, payload=format(i % 256, "08b"),
-                arrival=i * exp.frame)
-        for i in range(len(bits))
+    work = {"0": exp.short_work, "1": exp.long_work}
+    jobs = tuple(
+        job
+        for i, bit in enumerate(bits)
+        for job in (JobSpec("A", PROBE_SLICES, format(i % 256, "08b"), i * exp.frame),
+                    JobSpec("B", work[bit], bit, i * exp.frame))
     )
-    senders = encode_demand(bits, {"0": exp.short_work, "1": exp.long_work},
-                            exp.frame)
-    jobs = tuple(j for pair in zip(probes, senders) for j in pair)
     grant_limit = exp.freq if exp.paced else INFINITY
     shared = exp.topology == "shared"
     return ScenarioConfig(
         users=users,
         cores="shared" if shared else "private",
         scheduler=SchedulerSpec("demand", ("B", "A")) if shared else None,  # sender priority
-        pacer=PacerSpec(exp.freq) if exp.paced else None,
+        pacer=exp.freq if exp.paced else None,
         grants={
             u: tuple(Capability(o, grant_limit) for o in users if o != u)
             for u in users
         } if shared else {},
         jobs=jobs,
         horizon=exp.horizon,
-        seed=seed,
     )
 
 
 def model_latency(exp: CovertExperiment, sender_work: int) -> int:
     """Expected probe delivery latency within its frame, no backlog."""
     if exp.topology == "dedicated":
-        completion = exp.probe_work - 1
+        completion = PROBE_SLICES - 1
     else:
-        completion = sender_work + exp.probe_work - 1
+        completion = sender_work + PROBE_SLICES - 1
     if not exp.paced:
         return completion
     return exp.period * (completion // exp.period + 1)
@@ -206,34 +189,25 @@ class Framing:
     max_latency: int
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    bits: str
-    valid: bool
-    reason: Optional[str] = None
-
-
 def decode_from_releases(release_ticks: Sequence[Optional[int]],
-                         framing: Framing) -> DecodeResult:
+                         framing: Framing) -> Optional[str]:
     """Threshold each frame's delivery latency into a bit.
 
     A frame with no delivery, a delivery before its frame starts, or a
-    latency beyond ``max_latency`` marks the decode invalid rather than
-    silently guessing.
+    latency beyond ``max_latency`` makes the decode invalid (``None``)
+    rather than silently guessing.
     """
     if len(release_ticks) != framing.frames:
-        return DecodeResult("", False,
-                            f"got {len(release_ticks)} frames, expected {framing.frames}")
+        return None
     bits = []
     for i, tick in enumerate(release_ticks):
         if tick is None:
-            return DecodeResult("", False, f"no delivery for frame {i}")
+            return None
         latency = tick - i * framing.frame_ticks
         if latency < 0 or latency > framing.max_latency:
-            return DecodeResult("", False,
-                                f"frame {i} latency {latency} out of range")
+            return None
         bits.append("1" if latency >= framing.threshold else "0")
-    return DecodeResult("".join(bits), True)
+    return "".join(bits)
 
 
 def empirical_mi(pairs: Sequence[Tuple[str, int]]) -> float:
@@ -262,11 +236,9 @@ class TrialResult:
     decoded: str
     valid: bool
     ber: float
-    correct: int
     elapsed: int
     achieved_rate: Fraction
     mi_rate: float
-    deliveries: int
 
 
 @dataclass
@@ -327,8 +299,7 @@ class LeakageReport:
 
 def run_trial(exp: CovertExperiment, seed: int) -> TrialResult:
     bits = exp.message_for(seed)
-    cfg = build_config(exp, bits, seed)
-    run = run_scenario(cfg)
+    run = run_scenario(build_config(exp, bits))
 
     deliveries = {
         r.detail["msg"]: r.t for r in boundary_records(run.trace, "A")
@@ -345,13 +316,12 @@ def run_trial(exp: CovertExperiment, seed: int) -> TrialResult:
         threshold=(lo + hi) / 2,
         max_latency=exp.frame + 2 * exp.period,
     )
-    decode = decode_from_releases(release_ticks, framing)
+    decoded = decode_from_releases(release_ticks, framing)
 
-    if not decode.valid:
-        return TrialResult(seed, bits, "", False, 0.5, 0, 0, Fraction(0), 0.0,
-                           sum(t is not None for t in release_ticks))
+    if decoded is None:
+        return TrialResult(seed, bits, "", False, 0.5, 0, Fraction(0), 0.0)
 
-    errors = sum(a != b for a, b in zip(bits, decode.bits))
+    errors = sum(a != b for a, b in zip(bits, decoded))
     ber = errors / len(bits)
     correct = len(bits) - errors
     elapsed = max(t for t in release_ticks if t is not None)
@@ -364,14 +334,12 @@ def run_trial(exp: CovertExperiment, seed: int) -> TrialResult:
     return TrialResult(
         seed=seed,
         sent=bits,
-        decoded=decode.bits,
+        decoded=decoded,
         valid=True,
         ber=ber,
-        correct=correct,
         elapsed=elapsed,
         achieved_rate=max(rate, Fraction(0)),
         mi_rate=mi,
-        deliveries=sum(t is not None for t in release_ticks),
     )
 
 

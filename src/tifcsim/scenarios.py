@@ -27,7 +27,7 @@ from .entities import (
     ReservationScheduler,
     Scheduler,
     check_bits,
-    pacer_clock,
+    pacer_period,
 )
 from .kernel import ConfigError, Engine, Phase, TraceKind, TraceRecord
 from .labels import INFINITY, TAG_RE, Capability, CapabilitySet, Frequency, Label
@@ -41,17 +41,11 @@ class SchedulerSpec:
 
 
 @dataclass(frozen=True)
-class PacerSpec:
-    freq: Frequency
-    first_tick: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     users: Tuple[str, ...] = ("A", "B")
     cores: str = "shared"  # "shared" | "private"
     scheduler: Optional[SchedulerSpec] = None
-    pacer: Optional[PacerSpec] = None
+    pacer: Optional[Frequency] = None  # one pacer per user at this frequency
     grants: Mapping[str, Tuple[Capability, ...]] = field(default_factory=dict)
     jobs: Tuple[JobSpec, ...] = ()
     horizon: int = 200
@@ -75,7 +69,7 @@ class ScenarioConfig:
             if not self.scheduler.users or not set(self.scheduler.users) <= set(self.users):
                 raise ConfigError("scheduler users must be a non-empty subset of users")
         if self.pacer is not None:
-            pacer_clock(self.pacer.freq, self.pacer.first_tick)
+            pacer_period(self.pacer)
         for u, caps in self.grants.items():
             if u not in self.users:
                 raise ConfigError(f"grant for unknown user {u!r}")
@@ -117,11 +111,7 @@ class ScenarioConfig:
                 if self.scheduler is None
                 else {"kind": self.scheduler.kind, "users": list(self.scheduler.users)}
             ),
-            "pacer": (
-                None
-                if self.pacer is None
-                else {"f": str(self.pacer.freq), "first_tick": self.pacer.first_tick}
-            ),
+            "pacer": None if self.pacer is None else {"f": str(self.pacer)},
             "grants": {
                 u: [str(c) for c in caps] for u, caps in sorted(self.grants.items())
             },
@@ -257,7 +247,7 @@ def build_scenario(
             raise ConfigError("statmux requires a pacer frequency")
         topology = dict(
             scheduler=SchedulerSpec("demand", users),
-            pacer=PacerSpec(freq) if pacer_present else None,
+            pacer=freq if pacer_present else None,
             grants={
                 u: tuple(Capability(other, freq) for other in users if other != u)
                 for u in users
@@ -278,9 +268,7 @@ _read_full = json_object(ScenarioConfig, {
     "cores": STR,
     "scheduler": optional(json_object(
         SchedulerSpec, {"kind": STR, "users": _USERS}, required=("kind", "users"))),
-    "pacer": optional(json_object(
-        PacerSpec, {"f": FREQ, "first_tick": optional(INT)}, required=("f",),
-        rename={"f": "freq"})),
+    "pacer": optional(json_object(lambda f: f, {"f": FREQ}, required=("f",))),
     "grants": map_of(list_of(parsed(Capability.parse))),
     "jobs": list_of(json_object(
         JobSpec,
@@ -307,9 +295,7 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
     monitor = Monitor(cfg.monitor_mode)
 
     gateways = {
-        u: engine.add(
-            Gateway(u, cfg.users, monitor, CapabilitySet(cfg.grants.get(u, ())))
-        )
+        u: engine.add(Gateway(u, monitor, CapabilitySet(cfg.grants.get(u, ()))))
         for u in cfg.users
     }
 
@@ -329,12 +315,9 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
 
     if cfg.pacer is not None:
         for u in cfg.users:
-            pacer = engine.add(
-                Pacer(u, cfg.pacer.freq, cfg.users, gateways[u],
-                      first_tick=cfg.pacer.first_tick)
-            )
+            pacer = engine.add(Pacer(u, cfg.pacer, cfg.users, gateways[u]))
             cores[u].routes[u] = pacer
-            engine.schedule(pacer.first_tick, pacer, ("tick",))
+            engine.schedule(pacer.period, pacer, ("tick",))
     else:
         for u in cfg.users:
             cores[u].routes[u] = gateways[u]
@@ -472,7 +455,7 @@ def default_label_expectations(cfg: ScenarioConfig) -> List[Tuple[RecordSelector
     if kind == "statmux":
         assert cfg.pacer is not None
         full = Label((first,), {u: INFINITY for u in cfg.users})
-        paced = full.pace_down(cfg.pacer.freq)
+        paced = full.pace_down(cfg.pacer)
         return [
             (RecordSelector(TraceKind.MSG_SEND, "core", {"msg": f"res_{job}"}), full),
             (RecordSelector(TraceKind.PACER_RELEASE, f"pacer_{first}",
@@ -604,8 +587,8 @@ def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRu
 
     boundary_ok: Optional[bool] = None
     if cfg.pacer is not None:
-        period, first = pacer_clock(cfg.pacer.freq, cfg.pacer.first_tick)
-        boundary_ok = all((r.t - first) % period == 0 for recs in seen for r in recs)
+        period = pacer_period(cfg.pacer)
+        boundary_ok = all(r.t % period == 0 for recs in seen for r in recs)
 
     return PairedRunReport(
         scenario=kind,

@@ -6,6 +6,7 @@ read ``bench/``."""
 
 import ast
 import importlib
+import json
 import sys
 from functools import reduce
 from pathlib import Path
@@ -69,3 +70,29 @@ def test_names_bench_reads_from_the_package_exist():
              for name in tifcsim_reads(ast.parse(path.read_text(encoding="utf-8")))}
     assert ("run.py", "trace_to_jsonl") in reads  # the scan sees the benchmark
     assert sorted(r for r in reads if not resolves(r[1])) == []
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# The loaders the benchmark's set-up probe names in ``Workload.files``.
+LOADERS = {
+    "cli": lambda path: tifcsim.cli.load_scenario(path, None),
+    "scenario": lambda path: tifcsim.ScenarioConfig.from_json_obj(read_json(path)),
+    "experiment": lambda path: tifcsim.CovertExperiment.from_json_obj(read_json(path)),
+}
+
+
+def test_every_config_the_bench_writes_loads(tmp_path):
+    # a config key the benchmark writes cannot be removed from the program
+    workloads = bench_module("workloads")
+    used = set()
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for path, loader in workload(1, workdir, "tiny").files.items():
+            LOADERS[loader](path)
+            used.add(loader)
+    assert used == set(LOADERS)

@@ -118,7 +118,7 @@ FULL = {
     "users": ["A", "B"],
     "cores": "shared",
     "scheduler": {"kind": "demand", "users": ["A", "B"]},
-    "pacer": {"f": "1/5", "first_tick": 2},
+    "pacer": {"f": "1/5"},
     "jobs": [{"owner": "A", "work": 2, "payload": "01", "arrival": 0}],
     "horizon": 20,
 }
@@ -175,10 +175,10 @@ CONFIG_ERRORS = [
                  id="work-float"),
     pytest.param("run", edit(FULL, ["jobs", 0, "arrival"], 0.5), "jobs[0].arrival",
                  id="arrival-float"),
-    pytest.param("run", edit(FULL, ["pacer", "first_tick"], 2.5), "pacer.first_tick",
-                 id="first-tick-float"),
+    pytest.param("run", edit(FULL, ["pacer", "first_tick"], 2.5),
+                 "config.pacer.first_tick: unknown key", id="first-tick-float"),
     pytest.param("validate", edit(FULL, ["pacer", "first_tick"], -1),
-                 "pacer.first_tick", id="first-tick-negative"),
+                 "config.pacer.first_tick: unknown key", id="first-tick-negative"),
     pytest.param("run", edit(FULL, ["jobs", 0, "demand_visible"], "no"),
                  "config.jobs[0].demand_visible: unknown key", id="demand-visible-str"),
     pytest.param("run", edit(FULL, ["pacre"], {"f": "1/5"}), "pacre",
@@ -202,6 +202,10 @@ CONFIG_ERRORS = [
     pytest.param("leakage", edit(LEAK, ["bitstring"], "01" * 40),
                  "config.bitstring: unknown key", id="leakage-bitstring"),
     pytest.param("leakage", edit(LEAK, ["frame"], 0), "frame", id="leakage-frame-0"),
+    pytest.param("leakage", edit(LEAK, ["probe"], 1), "config.probe: unknown key",
+                 id="leakage-probe"),
+    pytest.param("leakage", edit(LEAK, ["message_len"], 64),
+                 "config.message_len: unknown key", id="leakage-message-len"),
     pytest.param("expect", [1], "[0]", id="expect-item-int"),
     pytest.param("expect", [{"occurrence": "x", "label": "{-/-}"}], "[0].occurrence",
                  id="expect-occurrence-str"),
@@ -248,6 +252,16 @@ def test_out_naming_a_file_exits_2_before_any_run(command, tmp_path, capsys):
     assert "cannot make output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,taken", [
+    ("run", "trace.jsonl"), ("paired", "report.txt"), ("leakage", "report.json")])
+def test_output_file_that_is_a_directory_exits_2(command, taken, tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", LEAK if command == "leakage" else SHORT)
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"cannot write {out / taken}" in capsys.readouterr().err
+
+
 def test_seed_flag_beats_env(statmux_cfg, capsys, monkeypatch):
     # no environment variable sets the seed; only --seed replaces the config's
     monkeypatch.setenv("TIFC_SIM_SEED", "777")
@@ -278,9 +292,8 @@ JSON = st.recursive(
 SMALL = {"scenario": "statmux", "f": "1/5", "horizon": 12}
 VALID = {
     "run": [FULL, SMALL],
-    "leakage": [{"f": "1/5", "short": 1, "long": 3, "probe": 1, "frame": 5,
-                 "paced": True, "topology": "shared", "message_len": 64,
-                 "trials": 1, "horizon": 400, "seed": 3}],
+    "leakage": [{"f": "1/5", "short": 1, "long": 3, "frame": 5, "paced": True,
+                 "topology": "shared", "trials": 1, "horizon": 400, "seed": 3}],
     "check-labels": [[{"kind": "PacerRelease", "entity": "pacer_A",
                        "detail": {"msg": "res_A0"}, "occurrence": 0,
                        "label": "{A/A:1/5,B:1/5}"}]],
@@ -311,7 +324,7 @@ def mutated(draw, bases):
 
 def passing_report(exp):
     """A one-trial passing report, in place of a real campaign."""
-    trial = TrialResult(exp.seed, "", "", True, 0.0, 0, 0, Fraction(0), 0.0, 0)
+    trial = TrialResult(exp.seed, "", "", True, 0.0, 0, Fraction(0), 0.0)
     return LeakageReport(exp, exp.bound, [trial])
 
 

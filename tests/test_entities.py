@@ -37,7 +37,7 @@ def make_core(users=("A",), fixed=None):
     core = sim.add(ComputeCore("core", users, monitor, fixed_user=fixed))
     gws = {}
     for u in users:
-        gw = sim.add(Gateway(u, users, monitor))
+        gw = sim.add(Gateway(u, monitor))
         gw.core = core
         core.routes[u] = gw
         gws[u] = gw
@@ -146,14 +146,12 @@ def test_queued_jobs_run_fifo_within_a_slot():
 # -- pacer -------------------------------------------------------------------------
 
 
-def make_pacer(freq=F15, first_tick=None):
+def make_pacer(freq=F15):
     sim = Engine()
     monitor = Monitor()
-    gw = sim.add(Gateway("A", ("A", "B"), monitor,
-                         CapabilitySet([Capability("B", freq)])))
-    pacer = sim.add(Pacer("A", freq, ("A", "B"), gw,
-                          first_tick=first_tick))
-    sim.schedule(pacer.first_tick, pacer, ("tick",))
+    gw = sim.add(Gateway("A", monitor, CapabilitySet([Capability("B", freq)])))
+    pacer = sim.add(Pacer("A", freq, ("A", "B"), gw))
+    sim.schedule(pacer.period, pacer, ("tick",))
     return sim, pacer, gw
 
 
@@ -204,19 +202,19 @@ def test_pacer_empty_tick_releases_nothing():
 
 
 def test_pacer_release_times_on_phase_grid():
-    sim, pacer, _ = make_pacer(first_tick=3)
+    sim, pacer, _ = make_pacer(freq=Frequency(1, 3))
     for i in range(4):
         pacer.queue.append(msg(f"A{i}", Label.parse("{A/A:inf}")))
     trace = sim.run_until(40)
     ticks = [r.t for r in trace if r.kind is TraceKind.PACER_RELEASE]
-    assert ticks == [3, 8, 13, 18]
-    assert all((t - 3) % 5 == 0 for t in ticks)
+    assert ticks == [3, 6, 9, 12]
+    assert all(t % pacer.period == 0 for t in ticks)
 
 
 def test_pacer_frequency_must_be_reciprocal_ticks():
     sim = Engine()
     monitor = Monitor()
-    gw = Gateway("A", ("A",), monitor)
+    gw = Gateway("A", monitor)
     for bad in (Frequency(2, 3), Frequency(2), INFINITY, Frequency(0)):
         with pytest.raises(ConfigError):
             Pacer("A", bad, ("A",), gw)
@@ -245,7 +243,7 @@ def test_ingress_rejects_cross_customer_submission():
 
 def test_ingress_to_core_without_owner_slot_is_config_fault():
     sim, monitor, core, _ = make_core(users=("A",))
-    stray = sim.add(Gateway("B", ("A", "B"), monitor))
+    stray = sim.add(Gateway("B", monitor))
     stray.core = core
     with pytest.raises(ConfigError):
         stray.ingress(sim, JobSpec("B", 2, "11"), "B0")
@@ -262,7 +260,7 @@ def test_ingress_gives_independent_labels():
 def test_egress_delivers_paced_label_with_cross_capability():
     sim = Engine()
     monitor = Monitor()
-    gw = sim.add(Gateway("A", ("A", "B"), monitor,
+    gw = sim.add(Gateway("A", monitor,
                          CapabilitySet([Capability("B", F15)])))
     decision = gw.egress(sim, msg("A0", Label.parse("{A/A:1/5,B:1/5}")))
     assert decision.allowed
@@ -276,7 +274,7 @@ def test_egress_delivers_paced_label_with_cross_capability():
 def test_egress_denies_unpaced_foreign_taint():
     sim = Engine()
     monitor = Monitor()
-    gw = sim.add(Gateway("A", ("A", "B"), monitor,
+    gw = sim.add(Gateway("A", monitor,
                          CapabilitySet([Capability("B", F15)])))
     decision = gw.egress(sim, msg("A0", Label.parse("{A/A:inf,B:inf}")))
     assert not decision.allowed
@@ -287,7 +285,7 @@ def test_egress_denies_unpaced_foreign_taint():
 def test_egress_own_taint_delivered_without_caps():
     sim = Engine()
     monitor = Monitor()
-    gw = sim.add(Gateway("A", ("A",), monitor))
+    gw = sim.add(Gateway("A", monitor))
     assert gw.egress(sim, msg("A0", Label.parse("{A/A:inf}"))).allowed
 
 
@@ -381,7 +379,7 @@ def test_high_label_scheduler_cannot_message_customers():
         gw = engine.entity(gw_id)
         decision = monitor.decide(
             engine, at=gw.id, src=sched.id, dst=f"user_{gw.owner}",
-            src_label=sched.label, caps=gw.caps, dst_label=gw.accept_label,
+            src_label=sched.label, caps=gw.caps, dst_label=gw.stamp,
         )
         assert not decision.allowed
     # while the trusted shared-core control logic may receive it

@@ -215,7 +215,7 @@ def _core(users=("A", "B")):
 def _deny_ingress():
     sim, monitor, core = _core()
     core.clearance = Label.parse("{B/A:inf,B:inf}")  # not cleared for A's content
-    gw = sim.add(Gateway("A", ("A", "B"), monitor))
+    gw = sim.add(Gateway("A", monitor))
     gw.core = core
     gw.ingress(sim, JobSpec("A", 2, "1"), "A0")
     return sim, ("gw_A", "core"), lambda: not any(core.slots.values())
@@ -223,7 +223,7 @@ def _deny_ingress():
 
 def _deny_result_to_pacer():
     sim, monitor, core = _core()
-    gw = sim.add(Gateway("A", ("A",), monitor))
+    gw = sim.add(Gateway("A", monitor))
     pacer = sim.add(Pacer("A", Frequency(1, 5), ("A",), gw))  # B not cleared
     core.routes["A"] = pacer
     core.slots["A"].append(Job("A0", "A", 1, "1", Label.parse("{A/A:inf,B:inf}")))

@@ -1,14 +1,14 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
 from tifcsim.kernel import ConfigError, TraceKind, trace_to_jsonl
-from tifcsim.labels import Capability, Frequency, Label
+from tifcsim.labels import INFINITY, Capability, Frequency, Label
 from tifcsim.monitor import MonitorMode
 from tifcsim.scenarios import (
     JobSpec,
-    PacerSpec,
     RecordSelector,
     ScenarioConfig,
     SchedulerSpec,
@@ -22,6 +22,7 @@ from tifcsim.scenarios import (
 )
 
 DATA = Path(__file__).parent / "data"
+DEMO_CONFIGS = Path(__file__).parent.parent / "demos" / "configs"
 F15 = Frequency(1, 5)
 
 
@@ -48,7 +49,7 @@ def test_reservation_shape():
 
 def test_statmux_shape():
     cfg = build_scenario("statmux", freq=F15)
-    assert cfg.pacer == PacerSpec(F15)
+    assert cfg.pacer == F15
     assert cfg.scheduler.kind == "demand"
     assert cfg.grants["A"] == (Capability("B", F15),)
     assert cfg.grants["B"] == (Capability("A", F15),)
@@ -74,7 +75,7 @@ def test_unknown_scenario_kind():
         dict(cores="shared", scheduler=None),
         dict(scheduler=SchedulerSpec("lottery", ("A",))),
         dict(scheduler=SchedulerSpec("demand", ("Z",))),
-        dict(pacer=PacerSpec(Frequency(2, 3))),
+        dict(pacer=Frequency(2, 3)),
         dict(jobs=(JobSpec("Z", 1),)),
         dict(jobs=(JobSpec("A", 0),)),
         dict(jobs=(JobSpec("A", 1, arrival=999),)),
@@ -83,8 +84,8 @@ def test_unknown_scenario_kind():
         dict(grants={"Z": (Capability("A"),)}),
         dict(users=("A-B",), scheduler=SchedulerSpec("demand", ("A-B",)),
              jobs=()),  # not a label tag
-        dict(pacer=PacerSpec(F15, first_tick=-1)),
-        dict(pacer=PacerSpec(F15, first_tick=2.5)),
+        dict(pacer=Frequency(2)),  # faster than one release per tick
+        dict(pacer=INFINITY),
         dict(jobs=(JobSpec("A", 2.5),)),  # would never complete
         dict(jobs=(JobSpec("A", True),)),
         dict(jobs=(JobSpec("A", 1, arrival=0.5),)),
@@ -106,8 +107,15 @@ def test_config_validation_rejects(mutation):
 
 
 def test_config_json_roundtrip():
-    cfg = build_scenario("statmux", freq=F15, horizon=77, seed=9)
-    assert ScenarioConfig.from_json_obj(cfg.to_json_obj()) == cfg
+    cfgs = [build_scenario("statmux", freq=F15, horizon=77, seed=9)]
+    # what validate prints for each demo scenario reads back as the same config
+    cfgs += [ScenarioConfig.from_json_obj(json.loads(p.read_text(encoding="utf-8")))
+             for p in sorted(DEMO_CONFIGS.glob("*.json"))
+             if not p.name.startswith("leakage")]
+    assert len(cfgs) > 6
+    for cfg in cfgs:
+        assert ScenarioConfig.from_json_obj(cfg.to_json_obj()) == cfg
+        assert ScenarioConfig.from_json_obj(json.loads(cfg.canonical_json())) == cfg
 
 
 def test_shorthand_expands_to_build_scenario():
