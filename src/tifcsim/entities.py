@@ -159,6 +159,13 @@ class ComputeCore(Entity):
     otherwise whichever user the scheduler's control message named for the
     current tick. Control messages are timing-only: they taint every live
     job's timing, never its content.
+
+    Each job is tainted once. A slot changes only by ``append`` (a job
+    arrives) and ``popleft`` (a job completes), so the jobs already joined
+    with the current control label form a prefix of the slot, whose length
+    ``_tainted`` keeps; joining the same label again would change nothing.
+    A control label other than the last one resets every prefix to empty,
+    so all queued jobs are re-tainted with it.
     """
 
     phase = Phase.CORE
@@ -179,16 +186,24 @@ class ComputeCore(Entity):
         self.clearance = self.demand_label = max_label(self.users)
         self.routes: Dict[str, Union["Pacer", Gateway]] = {}
         self._last_slice_tick = -1
+        self._ctrl_label: Optional[Label] = None
+        self._tainted: Dict[str, int] = dict.fromkeys(self.users, 0)
 
     def taint_jobs(self, sim: Engine, ctrl_label: Label) -> None:
-        """Join a control message's label into every queued job's timing."""
-        for queue in self.slots.values():
-            for job in queue:
+        """Join a control message's label into every queued job's timing
+        that has not been joined with it yet, in slot then queue order."""
+        if ctrl_label != self._ctrl_label:
+            self._ctrl_label = ctrl_label
+            self._tainted = dict.fromkeys(self.users, 0)
+        for user, queue in self.slots.items():
+            for i in range(self._tainted[user], len(queue)):
+                job = queue[i]
                 tainted = apply_receive(job.label, ctrl_label)
                 if tainted != job.label:
                     job.label = check_process_label(tainted)
                     sim.emit(TraceKind.LABEL_CHANGE, self.id, label=job.label,
                              job=job.job_id, owner=job.owner)
+            self._tainted[user] = len(queue)
 
     def handle(self, sim: Engine, payload: tuple) -> None:
         """``("slice", user)``: run one slice of ``user``'s work. A private
@@ -216,6 +231,7 @@ class ComputeCore(Entity):
                  job=job.job_id, owner=user, remaining=job.remaining)
         if job.remaining == 0:
             queue.popleft()
+            self._tainted[user] = max(self._tainted[user] - 1, 0)
             digest = result_payload(job.payload_bits)
             sim.emit(TraceKind.JOB_COMPLETE, self.id, label=job.label,
                      job=job.job_id, owner=user, result=digest)

@@ -20,6 +20,9 @@ from typing import Dict, List, Mapping, Optional
 
 from .labels import Label
 
+# The canonical JSONL form of a record, built once: sorted keys, no spaces.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class SimError(Exception):
     """Base for simulation failures."""
@@ -80,7 +83,7 @@ class TraceRecord:
             "label": str(self.label) if self.label is not None else None,
             "detail": dict(self.detail),
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(obj)
 
     @classmethod
     def from_json(cls, line: str) -> "TraceRecord":

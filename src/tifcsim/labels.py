@@ -11,7 +11,10 @@ entry for the same user at an equal or higher frequency. ``Label.uncovered``
 states this one rule; the flow order and declassification are read off it.
 
 The flow order, join, declassification and the pacing downgrade defined here
-are pure functions over immutable values, safe to share freely.
+are pure functions over immutable values, safe to share freely. Because
+they are pure, work on a label is done once per fact: a label computes its
+``str`` once per instance, and ``Label.parse`` is memoized in a bounded
+cache of ``PARSE_CACHE_SIZE`` entries, so repeated text parses once.
 """
 
 from __future__ import annotations
@@ -103,6 +106,9 @@ class Frequency:
 INFINITY = Frequency(1, 0)
 ZERO = Frequency(0)
 
+# Entries in the ``Label.parse`` memo; a constant, so memory stays bounded.
+PARSE_CACHE_SIZE = 1024
+
 # Tag ids must stay clear of the label grammar's punctuation.
 TAG_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -120,7 +126,7 @@ class Label:
     the maximum frequency, so taint never silently shrinks.
     """
 
-    __slots__ = ("_content", "_timing", "_hash")
+    __slots__ = ("_content", "_timing", "_hash", "_str")
 
     def __init__(
         self,
@@ -138,6 +144,7 @@ class Label:
                 merged[user] = freq
         self._timing = dict(sorted(merged.items()))
         self._hash = hash((self._content, tuple(self._timing.items())))
+        self._str = None
 
     @property
     def content(self) -> frozenset:
@@ -148,9 +155,12 @@ class Label:
         return MappingProxyType(self._timing)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Label):
             return NotImplemented
-        return self._content == other._content and self._timing == other._timing
+        return (self._hash == other._hash and self._content == other._content
+                and self._timing == other._timing)
 
     def __hash__(self) -> int:
         return self._hash
@@ -208,11 +218,14 @@ class Label:
     # -- serialization -----------------------------------------------------
 
     def __str__(self) -> str:
-        content = ",".join(sorted(self._content)) or "-"
-        timing = ",".join(f"{u}:{f}" for u, f in self._timing.items()) or "-"
-        return "{" + content + "/" + timing + "}"
+        if self._str is None:
+            content = ",".join(sorted(self._content)) or "-"
+            timing = ",".join(f"{u}:{f}" for u, f in self._timing.items()) or "-"
+            self._str = "{" + content + "/" + timing + "}"
+        return self._str
 
     @classmethod
+    @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
     def parse(cls, text: str) -> "Label":
         """Inverse of ``str``; raises LabelParseError with a position."""
         if not text or text[0] != "{":
@@ -284,7 +297,7 @@ class CapabilitySet:
     largest limit, ``_content`` holds the users whose limit is infinite.
     """
 
-    __slots__ = ("_timing", "_content")
+    __slots__ = ("_timing", "_content", "_hash")
 
     def __init__(self, caps: Iterable[Capability] = ()):
         best: dict = {}
@@ -293,6 +306,7 @@ class CapabilitySet:
                 best[cap.user] = cap.limit
         self._timing = dict(sorted(best.items()))
         self._content = frozenset(u for u, f in best.items() if f.is_infinite)
+        self._hash = hash(tuple(self._timing.items()))
 
     def __iter__(self):
         return (Capability(u, f) for u, f in self._timing.items())
@@ -306,7 +320,7 @@ class CapabilitySet:
         return self._timing == other._timing
 
     def __hash__(self) -> int:
-        return hash(tuple(self._timing.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"CapabilitySet({sorted(map(str, self))})"

@@ -77,9 +77,9 @@ class CovertExperiment:
 
     def __post_init__(self) -> None:
         period = pacer_period(self.freq)
-        if self.short_work == self.long_work:
-            raise ConfigError("encoding job lengths must be distinct")
-        if min(self.short_work, self.long_work) < 1:
+        if self.short_work >= self.long_work:
+            raise ConfigError("short must be less than long")
+        if self.short_work < 1:
             raise ConfigError("job lengths must be >= 1")
         if self.topology not in ("shared", "dedicated"):
             raise ConfigError(f"unknown topology {self.topology!r}")

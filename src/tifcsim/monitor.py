@@ -9,16 +9,25 @@ computes.
 
 ``Monitor.send`` is the one checked send between entities; only the
 customer-facing gateway egress decides with capabilities of its own.
+
+``check_send`` is pure over immutable, hashable values and a run asks it
+the same few questions every tick, so it is memoized in a bounded cache of
+``CHECK_CACHE_SIZE`` entries: each distinct flow is decided once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Tuple
 
 from .kernel import Engine, Entity, MonitorFault, TraceKind
 from .labels import EMPTY_CAPS, CapabilitySet, Label
+
+
+# Entries in the ``check_send`` memo; a constant, so memory stays bounded.
+CHECK_CACHE_SIZE = 1024
 
 
 class MonitorMode(Enum):
@@ -36,6 +45,7 @@ class FlowDecision:
         return not self.residual
 
 
+@functools.lru_cache(maxsize=CHECK_CACHE_SIZE)
 def check_send(src_label: Label, caps: CapabilitySet, dst_label: Label) -> FlowDecision:
     """Decide one flow; total function, never raises. The residual names
     the uncovered tags, sorted: ``U`` for content, ``U:f`` for timing."""

@@ -199,6 +199,8 @@ CONFIG_ERRORS = [
     pytest.param("leakage", edit(LEAK, ["short"], 1.5), "short",
                  id="leakage-short-float"),
     pytest.param("leakage", edit(LEAK, ["bogus"], 3), "bogus", id="leakage-unknown-key"),
+    pytest.param("leakage", {**LEAK, "short": 3, "long": 1},
+                 "short must be less than long", id="leakage-short-above-long"),
     pytest.param("leakage", edit(LEAK, ["bitstring"], "01" * 40),
                  "config.bitstring: unknown key", id="leakage-bitstring"),
     pytest.param("leakage", edit(LEAK, ["frame"], 0), "frame", id="leakage-frame-0"),

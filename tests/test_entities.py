@@ -1,4 +1,9 @@
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tifcsim.entities import (
     ComputeCore,
@@ -12,9 +17,9 @@ from tifcsim.entities import (
     offer_demand,
     result_payload,
 )
-from tifcsim.kernel import ConfigError, Engine, SimError, TraceKind
+from tifcsim.kernel import ConfigError, Engine, SimError, TraceKind, trace_to_jsonl
 from tifcsim.labels import INFINITY, Capability, CapabilitySet, Frequency, Label
-from tifcsim.monitor import Monitor
+from tifcsim.monitor import Monitor, apply_receive
 from tifcsim.scenarios import (
     ScenarioConfig,
     SchedulerSpec,
@@ -128,6 +133,80 @@ def test_control_taint_is_timing_only_and_recorded():
     assert trace[2].detail == {"msg": "ctl@0", "user": "A"}
     assert trace[3].label == j.label
     assert trace[4].detail["owner"] == "A"  # the named user's slice runs
+
+
+# -- taint once ------------------------------------------------------------------
+
+
+def retaint_every_job(core, sim, ctrl_label):
+    """The definition ``taint_jobs`` must match: join the control label into
+    every queued job, in slot then queue order."""
+    for queue in core.slots.values():
+        for j in queue:
+            tainted = apply_receive(j.label, ctrl_label)
+            if tainted != j.label:
+                j.label = check_process_label(tainted)
+                sim.emit(TraceKind.LABEL_CHANGE, core.id, label=j.label,
+                         job=j.job_id, owner=j.owner)
+
+
+def statmux_at_load(n_users, horizon, load, seed):
+    """A statmux config whose jobs total ``load`` of the core over
+    ``horizon``, arriving at random ticks, so backlogs build and drain."""
+    rng = random.Random(seed)
+    users = tuple("ABCD"[:n_users])
+    jobs, total = [], 0
+    while total + 1 <= load * horizon:
+        work = min(rng.randint(1, 6), int(load * horizon - total))
+        jobs.append(JobSpec(rng.choice(users), work, arrival=rng.randrange(horizon)))
+        total += work
+    jobs.sort(key=lambda spec: spec.arrival)
+    return build_scenario("statmux", users=users, jobs=jobs, horizon=horizon, freq=F15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_users=st.integers(2, 4), horizon=st.integers(10, 120),
+       load=st.floats(0.05, 1.0), seed=st.integers(0, 2**16))
+def test_taint_once_matches_a_full_retaint(n_users, horizon, load, seed):
+    cfg = statmux_at_load(n_users, horizon, load, seed)
+    once = trace_to_jsonl(run_scenario(cfg).trace)
+    with mock.patch.object(ComputeCore, "taint_jobs", retaint_every_job):
+        full = trace_to_jsonl(run_scenario(cfg).trace)
+    assert once == full
+
+
+def test_each_admitted_job_is_tainted_once_at_full_load():
+    cfg = statmux_at_load(4, 400, 1.0, seed=7)
+    calls = []
+
+    def counted(receiver, msg_label):
+        calls.append(receiver)
+        return apply_receive(receiver, msg_label)
+
+    with mock.patch("tifcsim.entities.apply_receive", counted):
+        trace = run_scenario(cfg).trace
+    admitted = [r for r in trace if r.kind is TraceKind.MSG_RECV
+                and r.entity == "core" and r.detail["msg"].startswith("job_")]
+    assert len(admitted) > 100
+    assert len(calls) == len(admitted)
+
+
+def test_a_new_control_label_retaints_the_tainted_prefix():
+    sim, monitor, core, _ = make_core(users=("A", "B", "C"))
+    first = sim.add(Scheduler("s1", core, monitor, Label((), {"B": INFINITY})))
+    second = sim.add(Scheduler("s2", core, monitor, Label((), {"C": INFINITY})))
+    a0, a1 = job(jid="A0"), job(jid="A1")
+    core.slots["A"].append(a0)
+    first.send_control(sim, "A")
+    assert a0.label == Label.parse("{A/A:inf,B:inf}")
+    core.slots["A"].append(a1)
+    second.send_control(sim, "A")  # a0 is in the prefix tainted by s1
+    assert a0.label == Label.parse("{A/A:inf,B:inf,C:inf}")
+    assert a1.label == Label.parse("{A/A:inf,C:inf}")
+    first.send_control(sim, "A")  # and a1 in the prefix tainted by s2
+    assert a1.label == a0.label
+    changes = [r.detail["job"] for r in sim.trace if r.kind is TraceKind.LABEL_CHANGE]
+    assert changes == ["A0", "A0", "A1", "A1"]
 
 
 def test_queued_jobs_run_fifo_within_a_slot():

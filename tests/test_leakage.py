@@ -43,6 +43,8 @@ def test_encode_short_then_long():
 def test_experiment_validation():
     with pytest.raises(ConfigError):
         CovertExperiment(short_work=3, long_work=3)
+    with pytest.raises(ConfigError, match="short must be less than long"):
+        CovertExperiment(short_work=3, long_work=1)  # would decode every bit inverted
     with pytest.raises(ConfigError):
         CovertExperiment(freq=Frequency(2, 3))
     with pytest.raises(ConfigError):
@@ -209,24 +211,27 @@ def test_ablation_exceeds_bound_for_every_seed():
 
 # -- leak bound by enumeration --------------------------------------------------
 # No decoder: run every sender schedule and count what the receiver can tell
-# apart. In each of three five-tick frames, A sends a one-slice probe and B
-# sends no job or a job of work 1, 3 or 6, and B comes first in a shared
-# core's order. A's view is every record at A's gateway. With |V| distinct
-# views, A learns at most log2 |V| bits of B's schedule, which a pacer caps at
-# one bit per pacer tick: T * f.
+# apart. In each of three five-tick frames, A sends a one-slice probe and each
+# sender sends no job or one job from the alphabet, and the senders come first
+# in a shared core's order. A's view is every record at A's gateway. With |V|
+# distinct views, A learns at most log2 |V| bits of the senders' schedules,
+# which a pacer caps at one bit per pacer tick, T * f, however many senders
+# collude.
 
 FRAME, FRAMES, T = 5, 3, 25
 
 
-def distinct_views(kind, **options):
+def distinct_views(kind, senders=("B",), alphabet=(None, 1, 3, 6), **options):
+    users = (*senders, "A")
     views = set()
-    for works in itertools.product((None, 1, 3, 6), repeat=FRAMES):
+    for works in itertools.product(alphabet, repeat=FRAMES * len(senders)):
         jobs = []
-        for i, work in enumerate(works):
+        for i in range(FRAMES):
             jobs.append(JobSpec("A", 1, arrival=i * FRAME))
-            if work is not None:
-                jobs.append(JobSpec("B", work, arrival=i * FRAME))
-        cfg = build_scenario(kind, users=("B", "A"), jobs=jobs, horizon=T, **options)
+            frame = works[i * len(senders):(i + 1) * len(senders)]
+            jobs += [JobSpec(s, w, arrival=i * FRAME)
+                     for s, w in zip(senders, frame) if w is not None]
+        cfg = build_scenario(kind, users=users, jobs=jobs, horizon=T, **options)
         views.add(tuple(r.to_json() for r in run_scenario(cfg).trace
                         if r.entity == "gw_A"))
     return len(views)
@@ -240,3 +245,15 @@ def test_enumerated_views_bound_the_leak_without_a_decoder():
     assert 1 < paced and math.log2(paced) <= budget
     unpaced = distinct_views("statmux", freq=F15, pacer_present=False)
     assert math.log2(unpaced) > budget
+
+
+def test_colluding_senders_share_one_pacer_budget():
+    # B and C each hold a grant at A's gateway, so the labels allow 2 * T * f
+    # bits; the pacer still releases at most once per tick, so A's view
+    # carries at most T * f bits, the bound of a single sender.
+    budget = T * F15.as_fraction()
+    colluders = {"senders": ("B", "C"), "alphabet": (None, 1, 3)}
+    paced = distinct_views("statmux", freq=F15, **colluders)
+    assert paced == 8 and math.log2(paced) <= budget
+    unpaced = distinct_views("statmux", freq=F15, pacer_present=False, **colluders)
+    assert unpaced == 212 and math.log2(unpaced) > budget
