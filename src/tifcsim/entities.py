@@ -129,7 +129,8 @@ class Gateway(Entity):
         """Stamp the owner's job and send it to the core's slot."""
         if spec.owner != self.owner:
             raise ConfigError(f"{self.id} cannot accept a request from {spec.owner!r}")
-        assert self.core is not None, "gateway not wired to a core"
+        if self.core is None:
+            raise ConfigError(f"{self.id} is not wired to a core")
         if spec.owner not in self.core.slots:
             raise ConfigError(f"{self.core.id} has no slot for {spec.owner!r}")
         job = Job(job_id, spec.owner, spec.work, spec.payload, self.stamp)

@@ -14,6 +14,10 @@ last delivery cannot come before frames*period ticks and the measured rate
 cannot exceed the pacer frequency. The ablation removes the pacer and
 raises the gateways' declassifiers to full strength (enforcement off), so
 the same experiment then finishes strictly earlier than one period per bit.
+
+The rate is the one measure reported. With no channel, the probe's latency
+(release tick minus frame start) is the same in every frame: a view that
+does not vary carries zero bits.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .entities import pacer_period
 from .kernel import ConfigError
-from .labels import INFINITY, Capability, Frequency
+from .labels import INFINITY, Frequency
 from .scenarios import (
     BOOL,
     FREQ,
@@ -37,6 +41,7 @@ from .scenarios import (
     SchedulerSpec,
     boundary_records,
     json_object,
+    mutual_grants,
     optional,
     run_scenario,
 )
@@ -161,10 +166,7 @@ def build_config(exp: CovertExperiment, bits: str) -> ScenarioConfig:
         cores="shared" if shared else "private",
         scheduler=SchedulerSpec("demand", ("B", "A")) if shared else None,  # sender priority
         pacer=exp.freq if exp.paced else None,
-        grants={
-            u: tuple(Capability(o, grant_limit) for o in users if o != u)
-            for u in users
-        } if shared else {},
+        grants=mutual_grants(users, grant_limit) if shared else {},
         jobs=jobs,
         horizon=exp.horizon,
     )
@@ -181,52 +183,23 @@ def model_latency(exp: CovertExperiment, sender_work: int) -> int:
     return exp.period * (completion // exp.period + 1)
 
 
-@dataclass(frozen=True)
-class Framing:
-    frame_ticks: int
-    frames: int
-    threshold: float
-    max_latency: int
-
-
-def decode_from_releases(release_ticks: Sequence[Optional[int]],
-                         framing: Framing) -> Optional[str]:
-    """Threshold each frame's delivery latency into a bit.
+def decode_from_releases(release_ticks: Sequence[Optional[int]], frame_ticks: int,
+                         threshold: float, max_latency: int) -> Optional[str]:
+    """Threshold each frame's latency, release tick minus frame start, into a bit.
 
     A frame with no delivery, a delivery before its frame starts, or a
     latency beyond ``max_latency`` makes the decode invalid (``None``)
     rather than silently guessing.
     """
-    if len(release_ticks) != framing.frames:
-        return None
     bits = []
     for i, tick in enumerate(release_ticks):
         if tick is None:
             return None
-        latency = tick - i * framing.frame_ticks
-        if latency < 0 or latency > framing.max_latency:
+        latency = tick - i * frame_ticks
+        if latency < 0 or latency > max_latency:
             return None
-        bits.append("1" if latency >= framing.threshold else "0")
+        bits.append("1" if latency >= threshold else "0")
     return "".join(bits)
-
-
-def empirical_mi(pairs: Sequence[Tuple[str, int]]) -> float:
-    """Plug-in mutual information (bits) between sent bit and observation."""
-    n = len(pairs)
-    if n == 0:
-        return 0.0
-    joint: Dict[Tuple[str, int], int] = {}
-    px: Dict[str, int] = {}
-    py: Dict[int, int] = {}
-    for x, y in pairs:
-        joint[(x, y)] = joint.get((x, y), 0) + 1
-        px[x] = px.get(x, 0) + 1
-        py[y] = py.get(y, 0) + 1
-    mi = 0.0
-    for (x, y), c in joint.items():
-        p_xy = c / n
-        mi += p_xy * math.log2(p_xy * n * n / (px[x] * py[y]))
-    return max(mi, 0.0)
 
 
 @dataclass(frozen=True)
@@ -238,14 +211,16 @@ class TrialResult:
     ber: float
     elapsed: int
     achieved_rate: Fraction
-    mi_rate: float
 
 
 @dataclass
 class LeakageReport:
     experiment: CovertExperiment
-    bound: Fraction
     trials: List[TrialResult]
+
+    @property
+    def bound(self) -> Fraction:
+        return self.experiment.bound
 
     @property
     def passes(self) -> List[bool]:
@@ -284,7 +259,6 @@ class LeakageReport:
                     "ber": t.ber,
                     "achieved_rate": str(t.achieved_rate),
                     "achieved_rate_float": float(t.achieved_rate),
-                    "mi_rate": t.mi_rate,
                     "elapsed": t.elapsed,
                     "valid": t.valid,
                     "pass": ok,
@@ -310,26 +284,18 @@ def run_trial(exp: CovertExperiment, seed: int) -> TrialResult:
 
     lo = model_latency(exp, exp.short_work)
     hi = model_latency(exp, exp.long_work)
-    framing = Framing(
-        frame_ticks=exp.frame,
-        frames=len(bits),
-        threshold=(lo + hi) / 2,
-        max_latency=exp.frame + 2 * exp.period,
-    )
-    decoded = decode_from_releases(release_ticks, framing)
-
+    decoded = decode_from_releases(release_ticks, exp.frame, (lo + hi) / 2,
+                                   exp.frame + 2 * exp.period)
     if decoded is None:
-        return TrialResult(seed, bits, "", False, 0.5, 0, Fraction(0), 0.0)
+        return TrialResult(seed, bits, "", False, 0.5, 0, Fraction(0))
 
     errors = sum(a != b for a, b in zip(bits, decoded))
     ber = errors / len(bits)
     correct = len(bits) - errors
-    elapsed = max(t for t in release_ticks if t is not None)
+    # a valid decode has every release, the last at or after (MESSAGE_BITS - 1) * frame
+    elapsed = max(release_ticks)
     h2c = Fraction(1) if errors == 0 else Fraction(1.0 - binary_entropy(ber))
-    rate = Fraction(correct) * h2c / elapsed if elapsed > 0 else Fraction(0)
-
-    latencies = [t - i * exp.frame for i, t in enumerate(release_ticks)]
-    mi = empirical_mi(list(zip(bits, latencies))) / exp.frame
+    rate = Fraction(correct) * h2c / elapsed
 
     return TrialResult(
         seed=seed,
@@ -339,11 +305,10 @@ def run_trial(exp: CovertExperiment, seed: int) -> TrialResult:
         ber=ber,
         elapsed=elapsed,
         achieved_rate=max(rate, Fraction(0)),
-        mi_rate=mi,
     )
 
 
 def measure(exp: CovertExperiment) -> LeakageReport:
     """Run every trial with its own seed and compare against the bound."""
     trials = [run_trial(exp, exp.seed + k) for k in range(exp.trials)]
-    return LeakageReport(experiment=exp, bound=exp.bound, trials=trials)
+    return LeakageReport(experiment=exp, trials=trials)

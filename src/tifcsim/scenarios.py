@@ -220,6 +220,11 @@ def json_object(build: Callable[..., object], fields: Mapping[str, Reader],
 DEFAULT_JOBS = (JobSpec("A", 4, "1011"), JobSpec("B", 2, "0110"))
 
 
+def mutual_grants(users: Sequence[str], limit: Frequency) -> Dict[str, Tuple[Capability, ...]]:
+    """Each user's gateway declassifies every other user's timing at ``limit``."""
+    return {u: tuple(Capability(o, limit) for o in users if o != u) for u in users}
+
+
 def build_scenario(
     kind: str,
     users: Sequence[str] = ("A", "B"),
@@ -248,10 +253,7 @@ def build_scenario(
         topology = dict(
             scheduler=SchedulerSpec("demand", users),
             pacer=freq if pacer_present else None,
-            grants={
-                u: tuple(Capability(other, freq) for other in users if other != u)
-                for u in users
-            },
+            grants=mutual_grants(users, freq),
         )
     else:
         raise ConfigError(f"unknown scenario kind {kind!r}")
@@ -453,7 +455,6 @@ def default_label_expectations(cfg: ScenarioConfig) -> List[Tuple[RecordSelector
                             {"msg": f"res_{job}"}), own_only),
         ]
     if kind == "statmux":
-        assert cfg.pacer is not None
         full = Label((first,), {u: INFINITY for u in cfg.users})
         paced = full.pace_down(cfg.pacer)
         return [
@@ -491,8 +492,11 @@ class PairedRunReport:
     run_long: ScenarioRun
     alice_diff: List[dict]
     label_checks: List[LabelCheck]
-    isolation_required: bool
     boundary_ok: Optional[bool]
+
+    @property
+    def isolation_required(self) -> bool:
+        return self.scenario in ("dedicated", "reservation")
 
     @property
     def passed(self) -> bool:
@@ -599,7 +603,6 @@ def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRu
         run_long=run_long,
         alice_diff=diff,
         label_checks=checks,
-        isolation_required=kind in ("dedicated", "reservation"),
         boundary_ok=boundary_ok,
     )
 

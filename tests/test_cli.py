@@ -95,6 +95,14 @@ def test_leakage_pass_and_fail(tmp_path):
     assert main(["leakage", "--config", bad, "--out", str(out)]) == 1
 
 
+def test_leakage_report_trial_keys(tmp_path):
+    cfg = write(tmp_path / "cfg.json", {"f": "1/5", "trials": 1, "seed": 9})
+    assert main(["leakage", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [list(t) for t in report["trials"]] == [sorted(
+        ["seed", "ber", "achieved_rate", "achieved_rate_float", "elapsed", "valid", "pass"])]
+
+
 def test_check_labels_defaults_and_custom(statmux_cfg, tmp_path, capsys):
     assert main(["check-labels", "--config", statmux_cfg]) == 0
     expect = write(tmp_path / "expect.json", [
@@ -326,8 +334,8 @@ def mutated(draw, bases):
 
 def passing_report(exp):
     """A one-trial passing report, in place of a real campaign."""
-    trial = TrialResult(exp.seed, "", "", True, 0.0, 0, Fraction(0), 0.0)
-    return LeakageReport(exp, exp.bound, [trial])
+    trial = TrialResult(exp.seed, "", "", True, 0.0, 0, Fraction(0))
+    return LeakageReport(exp, [trial])
 
 
 @pytest.mark.parametrize("command", ["run", "leakage", "check-labels"])

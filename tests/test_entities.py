@@ -320,6 +320,14 @@ def test_ingress_rejects_cross_customer_submission():
         gws["A"].ingress(sim, JobSpec("B", 2, "11"), "B0")
 
 
+def test_ingress_on_unwired_gateway_is_config_fault():
+    sim = Engine()
+    gw = sim.add(Gateway("A", Monitor()))
+    with pytest.raises(ConfigError, match="gw_A is not wired to a core"):
+        gw.ingress(sim, JobSpec("A", 2, "11"), "A0")
+    assert sim.trace == []
+
+
 def test_ingress_to_core_without_owner_slot_is_config_fault():
     sim, monitor, core, _ = make_core(users=("A",))
     stray = sim.add(Gateway("B", monitor))

@@ -6,20 +6,19 @@ from fractions import Fraction
 import pytest
 
 from tifcsim.kernel import ConfigError, TraceKind
-from tifcsim.labels import Frequency
+from tifcsim.labels import Capability, Frequency
 from tifcsim.leakage import (
+    MESSAGE_BITS,
     CovertExperiment,
-    Framing,
     binary_entropy,
     build_config,
     decode_from_releases,
-    empirical_mi,
     measure,
     model_latency,
     run_trial,
     straddle_experiment,
 )
-from tifcsim.scenarios import JobSpec, build_scenario, run_scenario
+from tifcsim.scenarios import JobSpec, boundary_records, build_scenario, run_scenario
 
 F15 = Frequency(1, 5)
 F110 = Frequency(1, 10)
@@ -38,6 +37,14 @@ def test_encode_short_then_long():
     # per frame, the receiver's one-slice probe and then the sender's job
     assert [(j.owner, j.work, j.arrival) for j in jobs] == [
         ("A", 1, 0), ("B", 2, 0), ("A", 1, 10), ("B", 7, 10)]
+
+
+def test_trial_grants_follow_pacing_and_topology():
+    assert build_config(CovertExperiment(), "").grants == {
+        "A": (Capability("B", F15),), "B": (Capability("A", F15),)}
+    assert build_config(CovertExperiment(paced=False), "").grants == {
+        "A": (Capability("B"),), "B": (Capability("A"),)}
+    assert build_config(CovertExperiment(topology="dedicated"), "").grants == {}
 
 
 def test_experiment_validation():
@@ -66,38 +73,22 @@ def test_messages_differ_per_seed_but_are_reproducible():
 
 
 def test_decode_thresholds_latency():
-    framing = Framing(frame_ticks=5, frames=3, threshold=2.0, max_latency=15)
-    assert decode_from_releases([1, 8, 13], framing) == "011"
+    assert decode_from_releases([1, 8, 13], 5, 2.0, 15) == "011"
 
 
 def test_decode_missing_delivery_marked_invalid():
-    framing = Framing(frame_ticks=5, frames=2, threshold=2.0, max_latency=15)
-    assert decode_from_releases([1, None], framing) is None
-
-
-def test_decode_wrong_frame_count_marked_invalid():
-    framing = Framing(frame_ticks=5, frames=3, threshold=2.0, max_latency=15)
-    assert decode_from_releases([1], framing) is None
+    assert decode_from_releases([1, None], 5, 2.0, 15) is None
 
 
 def test_decode_out_of_range_latency_marked_invalid():
-    framing = Framing(frame_ticks=5, frames=2, threshold=2.0, max_latency=6)
-    assert decode_from_releases([1, 40], framing) is None
-    assert decode_from_releases([1, 9], framing) == "01"  # latency 4, in range
+    assert decode_from_releases([1, 40], 5, 2.0, 6) is None
+    assert decode_from_releases([1, 9], 5, 2.0, 6) == "01"  # latency 4, in range
 
 
 def test_binary_entropy_endpoints():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == 1.0
-
-
-def test_empirical_mi_bounds():
-    perfect = [("0", 1), ("1", 3)] * 50
-    noise = [("0", 1), ("1", 1)] * 50
-    assert empirical_mi(perfect) == pytest.approx(1.0)
-    assert empirical_mi(noise) == pytest.approx(0.0)
-    assert empirical_mi([]) == 0.0
 
 
 # -- latency model --------------------------------------------------------------
@@ -167,6 +158,18 @@ def test_halving_frequency_halves_the_straddle_rate():
     assert abs(ratio - 0.5) < 0.02
 
 
+def probe_latencies(exp):
+    """Every probe latency, release tick minus frame start, in every frame of
+    every trial. A single value means the receiver's view never varies, so it
+    carries exactly zero bits."""
+    latencies = set()
+    for seed in range(exp.seed, exp.seed + exp.trials):
+        run = run_scenario(build_config(exp, exp.message_for(seed)))
+        released = {r.detail["msg"]: r.t for r in boundary_records(run.trace, "A")}
+        latencies |= {released[f"res_A{i}"] - i * exp.frame for i in range(MESSAGE_BITS)}
+    return latencies
+
+
 def test_dedicated_topology_has_no_channel():
     exp = CovertExperiment(topology="dedicated", paced=False, trials=10, seed=5)
     report = measure(exp)
@@ -175,8 +178,14 @@ def test_dedicated_topology_has_no_channel():
         assert trial.valid
         assert 0.25 < trial.ber < 0.75
         assert trial.achieved_rate < exp.bound / 4
-        assert trial.mi_rate == pytest.approx(0.0, abs=1e-9)
     assert report.all_pass
+    assert probe_latencies(exp) == {0}
+
+
+def test_paced_default_channel_is_shut():
+    # both symbols finish inside one period, so every probe is released at
+    # the period's end whatever the sender sent
+    assert probe_latencies(CovertExperiment(trials=10, seed=7)) == {5}
 
 
 def test_paced_release_count_bounded_by_horizon_over_period():

@@ -6,7 +6,9 @@ that a deletion leaves without callers does not keep its imports alive.
 ``__init__.py`` is exempt from the second rule: its imports are the
 package's exports. Every memo is bounded: an ``lru_cache`` names an integer
 ``maxsize`` and ``functools.cache`` is not used, so a long run or a fuzz
-test cannot grow a cache without limit.
+test cannot grow a cache without limit. And there is no ``assert``
+statement: ``python -O`` strips them, so an invariant raises ``ConfigError``
+or ``SimError`` instead.
 """
 
 import ast
@@ -101,6 +103,17 @@ def unbounded_caches(source: str) -> list:
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
+def bare_asserts(source: str) -> list:
+    """Each ``assert`` statement."""
+    return [f"line {node.lineno}: assert" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_assert(path):
+    assert bare_asserts(path.read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_cache_is_bounded(path):
     assert unbounded_caches(path.read_text(encoding="utf-8")) == []
@@ -151,3 +164,12 @@ def test_cache_checker_flags_unbounded_memos():
         "line 8: lru_cache", "line 10: lru_cache", "line 12: cache", "line 14: lru_cache"]
     assert unbounded_caches("from functools import cache, lru_cache, wraps\n") == [
         "line 1: cache", "line 1: lru_cache"]
+
+
+def test_assert_checker_flags_planted_assert():
+    planted = ("def f(x):\n"
+               "    if x is None:\n"
+               "        raise ValueError('x')\n"
+               "    assert x > 0, 'positive'\n"
+               "    return 'assert'\n")
+    assert bare_asserts(planted) == ["line 4: assert"]
