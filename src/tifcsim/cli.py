@@ -3,7 +3,8 @@
 Subcommands: validate, run, paired, leakage, check-labels. Exit codes:
 0 success, 1 assertion/leakage failure, 2 configuration error (an output
 file that cannot be written included), 3 denied flow under fatal monitor
-mode. --seed, when given, replaces the config file's seed. run writes
+mode. --seed drives trials only for leakage; on the scenario subcommands
+it only replaces the seed field that validate prints. run writes
 trace.jsonl and chart.txt into --out.
 
 A config file is one JSON object: a full scenario (users, cores, scheduler

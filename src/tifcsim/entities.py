@@ -1,8 +1,9 @@
 """The simulated cloud: jobs, gateways, compute cores, schedulers, pacers.
 
-Each entity is a state machine driven by kernel events. Per tick, the event
-phases give a fixed interaction order: job arrivals land at gateways, pacers
-fire, the scheduler decides, the core runs one timeslice, gateways deliver.
+Each entity is a state machine whose methods are kernel events. Per tick,
+the event phases give a fixed interaction order: job arrivals land at
+gateways (``Gateway.ingress``), pacers fire, the scheduler decides, the core
+runs one timeslice, gateways deliver (``Gateway.handle``).
 
 Cores execute jobs deterministically: a job's result payload is a pure
 function of its input bits, independent of when and how its slices were
@@ -119,12 +120,6 @@ class Gateway(Entity):
         self.stamp = Label((owner,), {owner: INFINITY})
         self.core: Optional["ComputeCore"] = None
 
-    def handle(self, sim: Engine, payload: tuple) -> None:
-        if payload[0] == "arrive":
-            self.ingress(sim, payload[1], payload[2])
-        elif payload[0] == "result":
-            self.egress(sim, payload[1])
-
     def ingress(self, sim: Engine, spec: JobSpec, job_id: str) -> Job:
         """Stamp the owner's job and send it to the core's slot."""
         if spec.owner != self.owner:
@@ -141,7 +136,7 @@ class Gateway(Entity):
             self.core.slots[job.owner].append(job)
         return job
 
-    def egress(self, sim: Engine, msg: Message) -> FlowDecision:
+    def handle(self, sim: Engine, msg: Message) -> FlowDecision:
         decision = self.monitor.decide(
             sim, at=self.id, src=self.id, dst=f"user_{self.owner}",
             src_label=msg.label, caps=self.caps,
@@ -206,14 +201,12 @@ class ComputeCore(Entity):
                              job=job.job_id, owner=job.owner)
             self._tainted[user] = len(queue)
 
-    def handle(self, sim: Engine, payload: tuple) -> None:
-        """``("slice", user)``: run one slice of ``user``'s work. A private
-        core re-arms its own slice for the next tick."""
-        if payload[0] != "slice":
-            return
-        self.run_slice(sim, payload[1])
+    def handle(self, sim: Engine, user: str) -> None:
+        """Run one slice of ``user``'s work. A private core re-arms its own
+        slice for the next tick."""
+        self.run_slice(sim, user)
         if self.fixed_user is not None:
-            sim.schedule(sim.now + 1, self, payload)
+            sim.schedule(sim.now + 1, self.handle, user)
 
     def run_slice(self, sim: Engine, user: str) -> None:
         if user not in self.slots:
@@ -248,7 +241,7 @@ class ComputeCore(Entity):
             # Gateway route: the egress decision is the guard.
             sim.emit(TraceKind.MSG_SEND, self.id, label=msg.label,
                      msg=msg.msg_id, to=target.id)
-            sim.schedule(sim.now, target, ("result", msg))
+            sim.schedule(sim.now, target.handle, msg)
 
 
 class Pacer(Entity):
@@ -277,18 +270,16 @@ class Pacer(Entity):
         self.clearance = Label((owner,), {u: INFINITY for u in users})
         self.queue: Deque[Message] = deque()
 
-    def handle(self, sim: Engine, payload: tuple) -> None:
+    def handle(self, sim: Engine) -> None:
         """On each clock tick, release the head message, if any, with
         downgraded timing tags."""
-        if payload[0] != "tick":
-            return
         if self.queue:
             msg = self.queue.popleft()
             released = dataclasses.replace(msg, label=msg.label.pace_down(self.freq))
             sim.emit(TraceKind.PACER_RELEASE, self.id, label=released.label,
                      msg=released.msg_id, queued=len(self.queue))
-            sim.schedule(sim.now, self.downstream, ("result", released))
-        sim.schedule(sim.now + self.period, self, ("tick",))
+            sim.schedule(sim.now, self.downstream.handle, released)
+        sim.schedule(sim.now + self.period, self.handle)
 
 
 def offer_demand(sim: Engine, monitor: Monitor, core: ComputeCore,
@@ -317,13 +308,11 @@ class Scheduler(Entity):
     def decide(self, sim: Engine) -> Optional[str]:
         raise NotImplementedError
 
-    def handle(self, sim: Engine, payload: tuple) -> None:
-        if payload[0] != "tick":
-            return
+    def handle(self, sim: Engine) -> None:
         user = self.decide(sim)
         if user is not None:
             self.send_control(sim, user)
-        sim.schedule(sim.now + 1, self, ("tick",))
+        sim.schedule(sim.now + 1, self.handle)
 
     def send_control(self, sim: Engine, user: str) -> None:
         """Tell the core whose slice this tick is; the control message
@@ -332,7 +321,7 @@ class Scheduler(Entity):
         if self.monitor.send(sim, self, self.core, self.label, f"ctl@{sim.now}",
                              sent=named, received=named).allowed:
             self.core.taint_jobs(sim, self.label)
-            sim.schedule(sim.now, self.core, ("slice", user))
+            sim.schedule(sim.now, self.core.handle, user)
 
 
 class ReservationScheduler(Scheduler):

@@ -1,12 +1,17 @@
 """Deterministic virtual-time discrete-event engine.
 
-Time is a non-negative integer tick count. Events execute in total order
-``(time, phase, seq)`` where ``seq`` is assigned at scheduling time, so a
-run is a pure function of its initial schedule: identical configuration
-gives byte-identical traces on every platform.
+Time is a non-negative integer tick count. An event is a call of an added
+entity's method, ``handler(engine, *args)``, at ``(time, phase, seq)``, the
+total order of execution; ``seq`` is assigned at scheduling time, so a run
+is a pure function of its initial schedule: identical configuration gives
+byte-identical traces on every platform.
 
 At equal time, phases fix the tie order: arrivals land first, then pacers
 fire, then schedulers decide, then cores run, then gateways deliver.
+
+Events of one ``(time, phase)`` on distinct entities commute: in any order
+that keeps each entity's own events in ``seq`` order, every gateway sees the
+same records and every entity emits the same multiset of records.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import count
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from .labels import Label
 
@@ -29,7 +34,7 @@ class SimError(Exception):
 
 
 class SchedulingError(SimError):
-    """Scheduling into the past or onto an unknown entity."""
+    """Scheduling into the past, or a handler not of an added entity."""
 
 
 class ConfigError(SimError):
@@ -99,23 +104,20 @@ class TraceRecord:
 
 
 class Entity:
-    """Base for simulated nodes; state machines driven by kernel events."""
+    """Base for simulated nodes: state machines whose methods are events."""
 
     phase: Phase = Phase.GATEWAY
 
     def __init__(self, entity_id: str):
         self.id = entity_id
 
-    def handle(self, sim: "Engine", payload: tuple) -> None:
-        raise NotImplementedError
-
 
 class Engine:
     """Single-threaded event loop; ``trace`` keeps every emitted record in order."""
 
     def __init__(self):
-        # Heap of (time, phase, seq, target id, payload); seq is unique, so
-        # the order never reaches the last two fields.
+        # Heap of (time, phase, seq, handler, args); seq is unique, so the
+        # order never reaches the last two fields.
         self._queue: List[tuple] = []
         self._seq = count()
         self._now = 0
@@ -135,21 +137,23 @@ class Engine:
     def entity(self, entity_id: str) -> Entity:
         return self._entities[entity_id]
 
-    def schedule(
-        self,
-        time: int,
-        target: Entity,
-        payload: tuple,
-        phase: Optional[Phase] = None,
-    ) -> None:
+    def schedule(self, time: int, handler: Callable[..., object], *args: object,
+                 phase: Optional[Phase] = None) -> None:
+        """Call ``handler(engine, *args)`` at ``time``. ``handler`` is a
+        bound method of an added entity, whose phase is the default."""
         if time < self._now:
             raise SchedulingError(
                 f"cannot schedule at t={time} before current t={self._now}"
             )
-        if target.id not in self._entities:
-            raise SchedulingError(f"unknown entity {target.id!r}")
+        try:
+            target = handler.__self__
+            added = self._entities.get(target.id) is target
+        except AttributeError:  # a plain function, or a method of a non-entity
+            added = False
+        if not added:
+            raise SchedulingError(f"{handler!r} is not a method of an added entity")
         heapq.heappush(self._queue, (time, phase if phase is not None else target.phase,
-                                     next(self._seq), target.id, payload))
+                                     next(self._seq), handler, args))
 
     def emit(
         self,
@@ -172,8 +176,8 @@ class Engine:
         """Execute every event with time <= t_end; clock ends at t_end.
         Returns ``trace`` itself, not a copy."""
         while self._queue and self._queue[0][0] <= t_end:
-            self._now, _, _, target, payload = heapq.heappop(self._queue)
-            self._entities[target].handle(self, payload)
+            self._now, _, _, handler, args = heapq.heappop(self._queue)
+            handler(self, *args)
         self._now = max(self._now, t_end)
         return self.trace
 

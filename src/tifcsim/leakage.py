@@ -8,12 +8,13 @@ The decoder thresholds the per-frame delivery latency; it is deliberately
 simple, since the claim under test is an upper bound on the leak rate.
 
 Rate accounting: achieved_rate = correct_bits * (1 - H2(BER)) / elapsed
-ticks, where elapsed spans the experiment start to the last delivery. With
-the pacer installed, deliveries happen only on period boundaries, so the
-last delivery cannot come before frames*period ticks and the measured rate
-cannot exceed the pacer frequency. The ablation removes the pacer and
-raises the gateways' declassifiers to full strength (enforcement off), so
-the same experiment then finishes strictly earlier than one period per bit.
+ticks, with 1 - H2 rounded up, never below its exact value; elapsed spans
+the experiment start to the last delivery. With the pacer installed,
+deliveries happen only on period boundaries, so the last delivery cannot
+come before frames*period ticks and the measured rate cannot exceed the
+pacer frequency. The ablation removes the pacer and raises the gateways'
+declassifiers to full strength (enforcement off), so the same experiment
+then finishes strictly earlier than one period per bit.
 
 The rate is the one measure reported. With no channel, the probe's latency
 (release tick minus frame start) is the same in every frame: a view that
@@ -49,12 +50,20 @@ from .scenarios import (
 
 PROBE_SLICES = 1  # work of the receiver's probe job in every frame
 MESSAGE_BITS = 64  # bits per trial: enough frames for a rate estimate
+CAPACITY_SLACK = Fraction(1, 2**40)  # covers the float error of 1 - H2, ~1e-16
 
 
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def capacity(errors: int, bits: int) -> Fraction:
+    """1 - H2(errors/bits), never below the exact value: the float result
+    rounded up by ``CAPACITY_SLACK``, capped at 1."""
+    return min(Fraction(1),
+               Fraction(1.0 - binary_entropy(errors / bits)) + CAPACITY_SLACK)
 
 
 @dataclass(frozen=True)
@@ -294,8 +303,7 @@ def run_trial(exp: CovertExperiment, seed: int) -> TrialResult:
     correct = len(bits) - errors
     # a valid decode has every release, the last at or after (MESSAGE_BITS - 1) * frame
     elapsed = max(release_ticks)
-    h2c = Fraction(1) if errors == 0 else Fraction(1.0 - binary_entropy(ber))
-    rate = Fraction(correct) * h2c / elapsed
+    rate = Fraction(correct) * capacity(errors, len(bits)) / elapsed
 
     return TrialResult(
         seed=seed,

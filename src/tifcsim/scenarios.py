@@ -303,26 +303,20 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
 
     cores: Dict[str, ComputeCore] = {}
     if cfg.cores == "shared":
-        core = engine.add(ComputeCore("core", cfg.users, monitor))
-        for u in cfg.users:
-            cores[u] = core
+        cores = dict.fromkeys(cfg.users, engine.add(ComputeCore("core", cfg.users, monitor)))
     else:
         for u in cfg.users:
-            core = engine.add(ComputeCore(f"core_{u}", (u,), monitor, fixed_user=u))
-            cores[u] = core
-            engine.schedule(0, core, ("slice", u))
+            cores[u] = engine.add(ComputeCore(f"core_{u}", (u,), monitor, fixed_user=u))
+            engine.schedule(0, cores[u].handle, u)
 
     for u in cfg.users:
         gateways[u].core = cores[u]
-
-    if cfg.pacer is not None:
-        for u in cfg.users:
+        if cfg.pacer is None:
+            cores[u].routes[u] = gateways[u]
+        else:
             pacer = engine.add(Pacer(u, cfg.pacer, cfg.users, gateways[u]))
             cores[u].routes[u] = pacer
-            engine.schedule(pacer.period, pacer, ("tick",))
-    else:
-        for u in cfg.users:
-            cores[u].routes[u] = gateways[u]
+            engine.schedule(pacer.period, pacer.handle)
 
     if cfg.scheduler is not None:
         shared = cores[cfg.users[0]]
@@ -331,13 +325,13 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
         else:
             sched = DemandScheduler(shared, monitor, cfg.scheduler.users)
         engine.add(sched)
-        engine.schedule(0, sched, ("tick",))
+        engine.schedule(0, sched.handle)
 
     counters = {u: 0 for u in cfg.users}
     for spec in cfg.jobs:
         job_id = f"{spec.owner}{counters[spec.owner]}"
         counters[spec.owner] += 1
-        engine.schedule(spec.arrival, gateways[spec.owner], ("arrive", spec, job_id),
+        engine.schedule(spec.arrival, gateways[spec.owner].ingress, spec, job_id,
                         phase=Phase.ARRIVAL)
     return engine, monitor
 
@@ -402,9 +396,23 @@ class RecordSelector:
 class LabelCheck:
     selector: RecordSelector
     expected: Label
-    actual: Optional[Label]
-    ok: bool
-    message: str
+    record: Optional[TraceRecord]
+
+    @property
+    def actual(self) -> Optional[Label]:
+        return None if self.record is None else self.record.label
+
+    @property
+    def ok(self) -> bool:
+        return self.actual == self.expected
+
+    @property
+    def message(self) -> str:
+        if self.record is None:
+            return f"no record matches {self.selector.describe()}"
+        if not self.ok:
+            return f"{self.selector.describe()}: expected {self.expected}, got {self.actual}"
+        return "ok"
 
     def __str__(self) -> str:
         """One report line: the expected label, or why the check failed."""
@@ -418,19 +426,8 @@ def assert_labels(
     expectations: Sequence[Tuple[RecordSelector, Label]],
 ) -> List[LabelCheck]:
     """Exact label equality per selector; a missing record is a failure."""
-    checks = []
-    for selector, expected in expectations:
-        record = selector.find(trace)
-        if record is None:
-            checks.append(LabelCheck(selector, expected, None, False,
-                                     f"no record matches {selector.describe()}"))
-        elif record.label != expected:
-            checks.append(LabelCheck(
-                selector, expected, record.label, False,
-                f"{selector.describe()}: expected {expected}, got {record.label}"))
-        else:
-            checks.append(LabelCheck(selector, expected, record.label, True, "ok"))
-    return checks
+    return [LabelCheck(selector, expected, selector.find(trace))
+            for selector, expected in expectations]
 
 
 # The --expect file of check-labels, as (selector, label) pairs.

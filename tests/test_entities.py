@@ -230,7 +230,7 @@ def make_pacer(freq=F15):
     monitor = Monitor()
     gw = sim.add(Gateway("A", monitor, CapabilitySet([Capability("B", freq)])))
     pacer = sim.add(Pacer("A", freq, ("A", "B"), gw))
-    sim.schedule(pacer.period, pacer, ("tick",))
+    sim.schedule(pacer.period, pacer.handle)
     return sim, pacer, gw
 
 
@@ -349,7 +349,7 @@ def test_egress_delivers_paced_label_with_cross_capability():
     monitor = Monitor()
     gw = sim.add(Gateway("A", monitor,
                          CapabilitySet([Capability("B", F15)])))
-    decision = gw.egress(sim, msg("A0", Label.parse("{A/A:1/5,B:1/5}")))
+    decision = gw.handle(sim, msg("A0", Label.parse("{A/A:1/5,B:1/5}")))
     assert decision.allowed
     trace = sim.run_until(0)
     recv = [r for r in trace if r.kind is TraceKind.MSG_RECV]
@@ -363,7 +363,7 @@ def test_egress_denies_unpaced_foreign_taint():
     monitor = Monitor()
     gw = sim.add(Gateway("A", monitor,
                          CapabilitySet([Capability("B", F15)])))
-    decision = gw.egress(sim, msg("A0", Label.parse("{A/A:inf,B:inf}")))
+    decision = gw.handle(sim, msg("A0", Label.parse("{A/A:inf,B:inf}")))
     assert not decision.allowed
     assert decision.residual == ("B:inf",)
     assert denials(sim.trace)[0].entity == "gw_A"
@@ -373,7 +373,7 @@ def test_egress_own_taint_delivered_without_caps():
     sim = Engine()
     monitor = Monitor()
     gw = sim.add(Gateway("A", monitor))
-    assert gw.egress(sim, msg("A0", Label.parse("{A/A:inf}"))).allowed
+    assert gw.handle(sim, msg("A0", Label.parse("{A/A:inf}"))).allowed
 
 
 # -- schedulers ------------------------------------------------------------------------

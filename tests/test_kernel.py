@@ -25,18 +25,18 @@ class Probe(Entity):
         self.seen = []
         self.plan = plan or {}
 
-    def handle(self, sim, payload):
-        self.seen.append((sim.now, payload))
-        sim.emit(TraceKind.MSG_RECV, self.id, msg=str(payload[0]))
-        for delay, next_payload in self.plan.get(payload[0], ()):
-            sim.schedule(sim.now + delay, self, next_payload)
+    def handle(self, sim, *args):
+        self.seen.append((sim.now, args))
+        sim.emit(TraceKind.MSG_RECV, self.id, msg=str(args[0]))
+        for delay, next_args in self.plan.get(args[0], ()):
+            sim.schedule(sim.now + delay, self.handle, *next_args)
 
 
 def test_same_time_runs_in_seq_order():
     sim = Engine()
     p = sim.add(Probe("p"))
-    sim.schedule(3, p, ("first",))
-    sim.schedule(3, p, ("second",))
+    sim.schedule(3, p.handle, "first")
+    sim.schedule(3, p.handle, "second")
     sim.run_until(5)
     assert [x[1][0] for x in p.seen] == ["first", "second"]
 
@@ -44,8 +44,8 @@ def test_same_time_runs_in_seq_order():
 def test_phases_break_ties_before_seq():
     sim = Engine()
     p = sim.add(Probe("p"))
-    sim.schedule(1, p, ("late",), phase=Phase.GATEWAY)
-    sim.schedule(1, p, ("early",), phase=Phase.PACER)
+    sim.schedule(1, p.handle, "late", phase=Phase.GATEWAY)
+    sim.schedule(1, p.handle, "early", phase=Phase.PACER)
     sim.run_until(1)
     assert [x[1][0] for x in p.seen] == ["early", "late"]
 
@@ -53,16 +53,44 @@ def test_phases_break_ties_before_seq():
 def test_schedule_into_past_is_fatal():
     sim = Engine()
     p = sim.add(Probe("p"))
-    sim.schedule(2, p, ("x",))
+    sim.schedule(2, p.handle, "x")
     sim.run_until(4)
     with pytest.raises(SchedulingError):
-        sim.schedule(1, p, ("y",))
+        sim.schedule(1, p.handle, "y")
 
 
 def test_unknown_entity_rejected():
     sim = Engine()
+    p = sim.add(Probe("p"))
+    # never added; the second shares the id of an added entity
+    for stranger in (Probe("ghost"), Probe("p")):
+        with pytest.raises(SchedulingError):
+            sim.schedule(0, stranger.handle, "x")
+    assert sim.run_until(5) == [] and p.seen == []
+
+
+def test_handler_arguments_arrive_as_scheduled():
+    sim = Engine()
+    p = sim.add(Probe("p"))
+    spec = object()
+    sim.schedule(0, p.handle, "a", spec, None)
+    sim.schedule(1, p.handle, "b")
+    sim.run_until(1)
+    assert p.seen == [(0, ("a", spec, None)), (1, ("b",))]
+    assert p.seen[0][1][1] is spec
+
+
+@pytest.mark.parametrize("handler", [
+    lambda sim: None,
+    print,
+    Probe.handle,  # unbound: no entity to run on
+], ids=["lambda", "builtin", "unbound-method"])
+def test_non_method_handler_rejected_at_schedule_time(handler):
+    sim = Engine()
+    sim.add(Probe("p"))
     with pytest.raises(SchedulingError):
-        sim.schedule(0, Probe("ghost"), ("x",))
+        sim.schedule(0, handler, "x")
+    assert sim.run_until(5) == []
 
 
 def test_duplicate_entity_rejected():
@@ -81,7 +109,7 @@ def test_empty_queue_gives_empty_trace():
 def test_run_until_idempotent_at_same_horizon():
     sim = Engine()
     p = sim.add(Probe("p"))
-    sim.schedule(1, p, ("x",))
+    sim.schedule(1, p.handle, "x")
     first = sim.run_until(10)
     second = sim.run_until(10)
     assert first == second
@@ -95,7 +123,7 @@ def test_schedule_during_run_is_deterministic():
             "seed": ((0, ("child-a",)), (2, ("child-b",))),
             "child-a": ((1, ("grandchild",)),),
         }))
-        sim.schedule(0, p, ("seed",))
+        sim.schedule(0, p.handle, "seed")
         return trace_to_jsonl(sim.run_until(10))
 
     assert make() == make()
@@ -104,7 +132,7 @@ def test_schedule_during_run_is_deterministic():
 def test_no_time_regression_during_run():
     sim = Engine()
     p = sim.add(Probe("p", plan={"seed": ((0, ("a",)), (3, ("b",)), (1, ("c",)))}))
-    sim.schedule(0, p, ("seed",))
+    sim.schedule(0, p.handle, "seed")
     trace = sim.run_until(10)
     times = [r.t for r in trace]
     assert times == sorted(times)
@@ -128,7 +156,7 @@ def test_record_json_no_label():
 def test_detail_values_stringified():
     sim = Engine()
     p = sim.add(Probe("p"))
-    sim.schedule(0, p, ("x",))
+    sim.schedule(0, p.handle, "x")
     sim.run_until(0)
     rec = sim.emit(TraceKind.SLICE_START, "core", job="A0", remaining=3)
     assert rec.detail["remaining"] == "3"
@@ -137,6 +165,6 @@ def test_detail_values_stringified():
 def test_jsonl_helpers_roundtrip():
     sim = Engine()
     p = sim.add(Probe("p"))
-    sim.schedule(0, p, ("x",))
+    sim.schedule(0, p.handle, "x")
     trace = sim.run_until(1)
     assert trace_from_jsonl(trace_to_jsonl(trace)) == trace

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from tifcsim.kernel import ConfigError, TraceKind
 from tifcsim.labels import Capability, Frequency
 from tifcsim.leakage import (
+    CAPACITY_SLACK,
     MESSAGE_BITS,
     CovertExperiment,
     binary_entropy,
     build_config,
+    capacity,
     decode_from_releases,
     measure,
     model_latency,
@@ -89,6 +92,24 @@ def test_binary_entropy_endpoints():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == 1.0
+
+
+def exact_capacity(errors, bits):
+    """1 - H2(errors/bits) to 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p = Decimal(errors) / bits
+        q = 1 - p
+        h2 = -(p * p.ln() + q * q.ln()) / Decimal(2).ln()
+        return Fraction(1 - h2)
+
+
+def test_capacity_is_never_below_the_exact_value():
+    # the float 1 - H2 alone falls below the exact value for some counts
+    for errors in range(1, MESSAGE_BITS):
+        exact = exact_capacity(errors, MESSAGE_BITS)
+        assert exact <= capacity(errors, MESSAGE_BITS) <= exact + 2 * CAPACITY_SLACK
+    assert capacity(0, MESSAGE_BITS) == capacity(MESSAGE_BITS, MESSAGE_BITS) == 1
 
 
 # -- latency model --------------------------------------------------------------
@@ -266,3 +287,14 @@ def test_colluding_senders_share_one_pacer_budget():
     assert paced == 8 and math.log2(paced) <= budget
     unpaced = distinct_views("statmux", freq=F15, pacer_present=False, **colluders)
     assert unpaced == 212 and math.log2(unpaced) > budget
+
+
+@pytest.mark.slow
+def test_colluding_senders_share_one_pacer_budget_over_the_larger_alphabet():
+    # 4,096 sender schedules per topology
+    budget = T * F15.as_fraction()
+    colluders = {"senders": ("B", "C"), "alphabet": (None, 1, 3, 6)}
+    paced = distinct_views("statmux", freq=F15, **colluders)
+    assert paced == 15 and math.log2(paced) <= budget
+    unpaced = distinct_views("statmux", freq=F15, pacer_present=False, **colluders)
+    assert unpaced == 348 and math.log2(unpaced) > budget
