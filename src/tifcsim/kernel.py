@@ -12,21 +12,22 @@ fire, then schedulers decide, then cores run, then gateways deliver.
 Events of one ``(time, phase)`` on distinct entities commute: in any order
 that keeps each entity's own events in ``seq`` order, every gateway sees the
 same records and every entity emits the same multiset of records.
+
+A record has one canonical JSONL line, ``json.dumps(obj, sort_keys=True,
+separators=(",", ":"))`` of its five fields; its detail values are strings.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import count
-from typing import Callable, Dict, List, Mapping, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 
 from .labels import Label
-
-# The canonical JSONL form of a record, built once: sorted keys, no spaces.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class SimError(Exception):
@@ -70,37 +71,40 @@ class TraceKind(str, Enum):
     LABEL_CHANGE = "LabelChange"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One observable event; the unit of every assertion and diff."""
+_KINDS = {kind.value: kind for kind in TraceKind}
+_KIND_JSON = {kind: f',"kind":{_quote(kind.value)},"label":' for kind in TraceKind}
+
+
+class TraceRecord(NamedTuple):
+    """One observable event, immutable; the unit of every assertion and diff.
+    ``detail`` maps strings to strings; ``to_json`` writes the canonical line."""
 
     t: int
     kind: TraceKind
     entity: str
     label: Optional[Label] = None
-    detail: Mapping[str, str] = field(default_factory=dict)
+    detail: Mapping[str, str] = MappingProxyType({})
 
     def to_json(self) -> str:
-        obj = {
-            "t": self.t,
-            "kind": self.kind.value,
-            "entity": self.entity,
-            "label": str(self.label) if self.label is not None else None,
-            "detail": dict(self.detail),
-        }
-        return _ENCODER.encode(obj)
+        detail = ",".join([f"{_quote(k)}:{_quote(v)}" for k, v in sorted(self.detail.items())])
+        label = "null" if self.label is None else _quote(str(self.label))
+        return (f'{{"detail":{{{detail}}},"entity":{_quote(self.entity)}'
+                f'{_KIND_JSON[self.kind]}{label},"t":{self.t}}}')
 
     @classmethod
     def from_json(cls, line: str) -> "TraceRecord":
-        obj = json.loads(line)
-        label = Label.parse(obj["label"]) if obj.get("label") else None
-        return cls(
-            t=obj["t"],
-            kind=TraceKind(obj["kind"]),
-            entity=obj["entity"],
-            label=label,
-            detail=obj.get("detail", {}),
-        )
+        """Inverse of ``to_json``; ValueError, quoting ``line``, if it is not a record."""
+        try:
+            obj = json.loads(line)
+            t, kind, entity, label, detail = (obj["t"], _KINDS[obj["kind"]], obj["entity"],
+                                              obj["label"], obj["detail"])
+            if (len(obj) == 5 and type(t) is int and type(entity) is str
+                    and (label is None or type(label) is str) and type(detail) is dict
+                    and all(type(v) is str for v in detail.values())):
+                return cls(t, kind, entity, None if label is None else Label.parse(label), detail)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"not a trace record: {line!r}") from exc
+        raise ValueError(f"not a trace record: {line!r}")
 
 
 class Entity:
@@ -155,20 +159,12 @@ class Engine:
         heapq.heappush(self._queue, (time, phase if phase is not None else target.phase,
                                      next(self._seq), handler, args))
 
-    def emit(
-        self,
-        kind: TraceKind,
-        entity: str,
-        label: Optional[Label] = None,
-        **detail: str,
-    ) -> TraceRecord:
-        record = TraceRecord(
-            t=self._now,
-            kind=kind,
-            entity=entity,
-            label=label,
-            detail={k: str(v) for k, v in detail.items()},
-        )
+    def emit(self, kind: TraceKind, entity: str, label: Optional[Label] = None,
+             **detail: object) -> TraceRecord:
+        for key, value in detail.items():  # ``detail`` is this call's own dict
+            if type(value) is not str:
+                detail[key] = str(value)
+        record = TraceRecord(self._now, kind, entity, label, detail)
         self.trace.append(record)
         return record
 
@@ -183,8 +179,10 @@ class Engine:
 
 
 def trace_to_jsonl(records) -> str:
+    """The canonical lines of ``records``, each ending in a newline."""
     return "".join(record.to_json() + "\n" for record in records)
 
 
 def trace_from_jsonl(text: str) -> List[TraceRecord]:
+    """Records of the non-blank lines of ``text``; ValueError on any other."""
     return [TraceRecord.from_json(line) for line in text.splitlines() if line.strip()]

@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tifcsim.kernel import (
     Engine,
@@ -153,13 +156,78 @@ def test_record_json_no_label():
     assert TraceRecord.from_json(rec.to_json()) == rec
 
 
+def test_records_are_immutable():
+    rec = TraceRecord(0, TraceKind.MSG_SEND, "core")
+    with pytest.raises(AttributeError):
+        rec.t = 1
+    assert rec.detail == {}
+    with pytest.raises(TypeError):
+        rec.detail["msg"] = "x"  # the default detail is shared, so read-only
+    assert TraceRecord.from_json(rec.to_json()).detail == {}
+
+
+# Any text, with lone surrogates, control characters, quotes and backslashes.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+LABELS = st.sampled_from([None, *map(Label.parse, ("{-/-}", "{A/A:inf}", "{A,B/A:1/5,B:inf}"))])
+
+
+@given(t=st.integers(), kind=st.sampled_from(TraceKind), entity=TEXT, label=LABELS,
+       detail=st.dictionaries(TEXT, TEXT, max_size=4))
+@example(t=0, kind=TraceKind.MSG_SEND, entity='"\\', label=None,
+         detail={"\ud800": "\x00\x1f\u00e9\U0001f600", '"': "\\"})
+def test_to_json_is_sorted_compact_json_dumps(t, kind, entity, label, detail):
+    rec = TraceRecord(t, kind, entity, label, detail)
+    obj = {"t": t, "kind": kind.value, "entity": entity,
+           "label": None if label is None else str(label), "detail": detail}
+    assert rec.to_json() == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert TraceRecord.from_json(rec.to_json()) == rec
+
+
+VALID = {"detail": {"msg": "m"}, "entity": "core", "kind": "MsgSend", "label": "{A/A:inf}", "t": 3}
+
+
+def planted(**changes):
+    """``VALID`` with ``changes`` applied; a key set to ``...`` is dropped."""
+    obj = {k: v for k, v in {**VALID, **changes}.items() if v is not ...}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("line", [
+    planted(t=1.5), planted(t="3"), planted(t=True),
+    planted(kind="Nope"), planted(kind=4),
+    planted(entity=5), planted(entity=None),
+    planted(label=5), planted(label=["{A/A:inf}"]), planted(label="{A"),
+    planted(detail={"work": 4}), planted(detail=["m"]), planted(detail=None),
+    "[1, 2]", '"core"', "null", "{not json",
+    planted(detail=...), planted(label=...), planted(t=...), planted(extra="x"),
+], ids=["t-float", "t-str", "t-bool", "kind-unknown", "kind-int", "entity-int",
+        "entity-null", "label-int", "label-list", "label-unparsable", "detail-int-value",
+        "detail-list", "detail-null", "list", "string", "null", "not-json",
+        "no-detail", "no-label", "no-t", "extra-key"])
+def test_from_json_rejects_lines_outside_the_schema(line):
+    assert TraceRecord.from_json(planted()).to_json() == planted()
+    with pytest.raises(ValueError, match="not a trace record") as err:
+        TraceRecord.from_json(line)
+    assert repr(line) in str(err.value)
+    with pytest.raises(ValueError):
+        trace_from_jsonl(planted() + "\n" + line + "\n")
+
+
+class Tag(str):
+    """A ``str`` subclass, which ``emit`` stores as a plain ``str``."""
+
+
 def test_detail_values_stringified():
     sim = Engine()
     p = sim.add(Probe("p"))
     sim.schedule(0, p.handle, "x")
     sim.run_until(0)
-    rec = sim.emit(TraceKind.SLICE_START, "core", job="A0", remaining=3)
-    assert rec.detail["remaining"] == "3"
+    d = {"job": "A0", "remaining": 3, "owner": Tag("A")}
+    rec = sim.emit(TraceKind.SLICE_START, "core", **d)
+    assert rec.detail == {"job": "A0", "remaining": "3", "owner": "A"}
+    assert type(rec.detail["owner"]) is str
+    d["job"] = "B1"
+    assert rec.detail["job"] == "A0" and d["remaining"] == 3
 
 
 def test_jsonl_helpers_roundtrip():
@@ -168,3 +236,10 @@ def test_jsonl_helpers_roundtrip():
     sim.schedule(0, p.handle, "x")
     trace = sim.run_until(1)
     assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data").glob("*.jsonl")),
+                         ids=lambda path: path.stem)
+def test_goldens_roundtrip_byte_for_byte(path):
+    text = path.read_text(encoding="utf-8")
+    assert trace_to_jsonl(trace_from_jsonl(text)) == text
