@@ -233,7 +233,7 @@ class LeakageReport:
 
     @property
     def passes(self) -> List[bool]:
-        return [t.achieved_rate <= self.bound for t in self.trials]
+        return [t.valid and t.achieved_rate <= self.bound for t in self.trials]
 
     @property
     def all_pass(self) -> bool:
@@ -312,7 +312,7 @@ def run_trial(exp: CovertExperiment, seed: int) -> TrialResult:
         valid=True,
         ber=ber,
         elapsed=elapsed,
-        achieved_rate=max(rate, Fraction(0)),
+        achieved_rate=rate,
     )
 
 

@@ -100,6 +100,11 @@ class ScenarioConfig:
                 return "statmux"
         return "custom"
 
+    @property
+    def demand_scheduled(self) -> bool:
+        """A demand scheduler: every user's timing taints every result."""
+        return self.scheduler is not None and self.scheduler.kind == "demand"
+
     # -- serialization ------------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -130,6 +135,10 @@ class ScenarioConfig:
         ``{"scenario": kind, "f": ..., "pacer": bool, ...}`` that
         ``build_scenario`` expands."""
         if isinstance(obj, dict) and "scenario" in obj:
+            for key in ("f", "pacer"):
+                if key in obj and obj["scenario"] in ("dedicated", "reservation"):
+                    raise ConfigError(f"config.{key}: a {obj['scenario']} scenario "
+                                      f"has no pacer")
             return _read_shorthand(obj, "config")
         return _read_full(obj, "config")
 
@@ -440,38 +449,25 @@ read_expectations = list_of(json_object(
 
 
 def default_label_expectations(cfg: ScenarioConfig) -> List[Tuple[RecordSelector, Label]]:
-    """The labels each canonical topology promises on the first user's
-    first result."""
+    """The labels the topology promises on the first user's first result.
+
+    It carries the owner's content tag. Its timing is unbounded for every
+    user under a demand scheduler, and for the owner alone otherwise; a
+    pacer caps those same users' timing at its frequency.
+    """
     first = cfg.users[0]
-    job = f"{first}0"
-    kind = cfg.classify()
-    own_only = Label((first,), {first: INFINITY})
-    if kind in ("dedicated", "reservation"):
-        return [
-            (RecordSelector(TraceKind.MSG_RECV, f"gw_{first}",
-                            {"msg": f"res_{job}"}), own_only),
-        ]
-    if kind == "statmux":
-        full = Label((first,), {u: INFINITY for u in cfg.users})
-        paced = full.pace_down(cfg.pacer)
-        return [
-            (RecordSelector(TraceKind.MSG_SEND, "core", {"msg": f"res_{job}"}), full),
-            (RecordSelector(TraceKind.PACER_RELEASE, f"pacer_{first}",
-                            {"msg": f"res_{job}"}), paced),
-            (RecordSelector(TraceKind.MSG_RECV, f"gw_{first}",
-                            {"msg": f"res_{job}"}), paced),
-        ]
-    if (cfg.cores == "shared" and cfg.scheduler is not None
-            and cfg.scheduler.kind == "demand" and cfg.pacer is None):
-        # Pacer-removed multiplexing: still expect the delivery, carrying
-        # every user's unbounded taint. The monitor denying it is exactly
-        # what this expectation is meant to surface.
-        full = Label((first,), {u: INFINITY for u in cfg.users})
-        return [
-            (RecordSelector(TraceKind.MSG_RECV, f"gw_{first}",
-                            {"msg": f"res_{job}"}), full),
-        ]
-    return []
+    if not any(j.owner == first for j in cfg.jobs):
+        raise ConfigError(f"the default label checks observe user {first}, who has no jobs")
+    tainted = cfg.users if cfg.demand_scheduled else (first,)
+    msg = {"msg": f"res_{first}0"}
+    label = Label((first,), dict.fromkeys(tainted, INFINITY))
+    checks = []
+    if cfg.pacer is not None:
+        core = "core" if cfg.cores == "shared" else f"core_{first}"
+        checks.append((RecordSelector(TraceKind.MSG_SEND, core, msg), label))
+        label = Label((first,), dict.fromkeys(tainted, cfg.pacer))
+        checks.append((RecordSelector(TraceKind.PACER_RELEASE, f"pacer_{first}", msg), label))
+    return checks + [(RecordSelector(TraceKind.MSG_RECV, f"gw_{first}", msg), label)]
 
 
 # -- paired runs -------------------------------------------------------------
@@ -493,7 +489,7 @@ class PairedRunReport:
 
     @property
     def isolation_required(self) -> bool:
-        return self.scenario in ("dedicated", "reservation")
+        return not self.run_short.config.demand_scheduled
 
     @property
     def passed(self) -> bool:
@@ -558,8 +554,7 @@ def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRu
     observer, vary = cfg.users[:2]
     if not any(j.owner == vary for j in cfg.jobs):
         raise ConfigError(f"paired runs vary user {vary}, who has no jobs")
-    if not any(j.owner == observer for j in cfg.jobs):
-        raise ConfigError(f"paired runs observe user {observer}, who has no jobs")
+    expectations = default_label_expectations(cfg)  # independent of job work
 
     def with_work(work: int) -> ScenarioConfig:
         jobs = tuple(
@@ -581,8 +576,6 @@ def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRu
         if s != l:
             diff.append({"index": i, "short": s, "long": l})
 
-    kind = cfg.classify()
-    expectations = default_label_expectations(cfg)  # independent of job work
     checks = assert_labels(run_short.trace, expectations)
     checks += assert_labels(run_long.trace, expectations)
 
@@ -592,7 +585,7 @@ def run_paired(cfg: ScenarioConfig, short_work: int, long_work: int) -> PairedRu
         boundary_ok = all(r.t % period == 0 for recs in seen for r in recs)
 
     return PairedRunReport(
-        scenario=kind,
+        scenario=cfg.classify(),
         vary_user=vary,
         short_work=short_work,
         long_work=long_work,

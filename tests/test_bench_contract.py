@@ -11,10 +11,13 @@ import sys
 from functools import reduce
 from pathlib import Path
 
+import pytest
+
 import tifcsim
 import tifcsim.cli  # noqa: F401  (bench/ reads tifcsim.cli)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+GOLDENS = Path(__file__).resolve().parent / "data"
 
 
 def bench_module(name):
@@ -96,3 +99,32 @@ def test_every_config_the_bench_writes_loads(tmp_path):
             LOADERS[loader](path)
             used.add(loader)
     assert used == set(LOADERS)
+
+
+# The calls the benchmark makes and what it reads off their results, made the
+# way it makes them: pre-flight builds each kind at f = 1/5 and compares its
+# run with the golden, the set-up probe loads files with no seed, the sparse
+# workload pairs 2 against 7 and the campaign reads each trial's verdict.
+
+
+@pytest.mark.parametrize("kind", ["dedicated", "reservation", "statmux"])
+def test_paired_run_as_the_bench_calls_it(kind, tmp_path):
+    cfg = tifcsim.build_scenario(kind, freq=tifcsim.Frequency(1, 5))
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.canonical_json(), encoding="utf-8")
+    assert tifcsim.cli.load_scenario(str(path), None) == cfg
+    report = tifcsim.scenarios.run_paired(cfg, 2, 7)
+    assert report.passed and report.alice_diff == []
+    # the short run keeps the second user's default work, so it is the golden run
+    assert tifcsim.trace_to_jsonl(report.run_short.trace) == \
+        (GOLDENS / f"{kind}.jsonl").read_text(encoding="utf-8")
+    assert report.to_text().startswith(f"scenario {kind}: vary B work 2 vs 7\n")
+
+
+def test_measure_trial_as_the_bench_reads_it():
+    exp = tifcsim.CovertExperiment.from_json_obj(
+        {"f": "1/5", "short": 1, "long": 3, "paced": True, "horizon": 325, "trials": 1})
+    (trial,) = tifcsim.leakage.measure(exp).trials
+    assert trial.valid
+    assert len(trial.decoded) == 64 and set(trial.decoded) <= {"0", "1"}
+    assert trial.elapsed == 320  # the 64th frame's probe, released on its period boundary

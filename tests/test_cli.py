@@ -103,6 +103,31 @@ def test_leakage_report_trial_keys(tmp_path):
         ["seed", "ber", "achieved_rate", "achieved_rate_float", "elapsed", "valid", "pass"])]
 
 
+def test_leakage_undecodable_trials_fail(tmp_path, capsys):
+    # at f = 1/1 no probe latency fits the decoder's window
+    cfg = write(tmp_path / "cfg.json", {"f": "1/1", "trials": 2, "horizon": 100})
+    assert main(["leakage", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out == (
+        "leakage: max rate 0 vs bound 1 -> FAIL (2 of 2 trials undecodable)\n")
+
+
+# private cores with a pacer, and reservation with a pacer: no canonical name
+PACED = [
+    {"users": ["A", "B"], "cores": cores, "scheduler": scheduler, "pacer": {"f": "1/5"},
+     "jobs": [{"owner": "A", "work": 4}, {"owner": "B", "work": 2}]}
+    for cores, scheduler in (("private", None),
+                             ("shared", {"kind": "reservation", "users": ["A", "B"]}))
+]
+
+
+@pytest.mark.parametrize("cfg", PACED, ids=["private-paced", "reservation-paced"])
+def test_check_labels_defaults_on_any_paced_topology(cfg, tmp_path, capsys):
+    assert main(["check-labels", "--config", write(tmp_path / "cfg.json", cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["ok", "MsgSend"], ["ok", "PacerRelease"], ["ok", "MsgRecv"]]
+
+
 def test_check_labels_defaults_and_custom(statmux_cfg, tmp_path, capsys):
     assert main(["check-labels", "--config", statmux_cfg]) == 0
     expect = write(tmp_path / "expect.json", [
@@ -193,13 +218,18 @@ CONFIG_ERRORS = [
                  id="unknown-key"),
     pytest.param("run", edit(SHORT, ["pacer"], "no"), "pacer", id="shorthand-pacer-str"),
     pytest.param("run", edit(SHORT, ["jobs"], []), "jobs", id="shorthand-jobs"),
+    pytest.param("run", {"scenario": "reservation", "f": "1/5", "pacer": True},
+                 "config.f: a reservation scenario has no pacer", id="shorthand-reservation-f"),
+    pytest.param("validate", {"scenario": "dedicated", "pacer": True},
+                 "config.pacer: a dedicated scenario has no pacer",
+                 id="shorthand-dedicated-pacer"),
     pytest.param("paired", {"scenario": "dedicated", "users": ["A"]}, "second user",
                  id="paired-one-user"),
     pytest.param("paired", FULL, "user B, who has no jobs", id="paired-vary-no-jobs"),
     pytest.param("paired", edit(SHORT, ["users"], ["C", "B"]), "user C, who has no jobs",
                  id="paired-observer-no-jobs"),
     pytest.param("check-labels", edit(SHORT, ["users"], ["C", "D"]),
-                 "C has no jobs; pass --expect", id="check-labels-first-user-no-jobs"),
+                 "user C, who has no jobs", id="check-labels-first-user-no-jobs"),
     pytest.param("leakage", [1], "config: expected an object", id="leakage-list"),
     pytest.param("leakage", edit(LEAK, ["seed"], "a"), "seed", id="leakage-seed-str"),
     pytest.param("leakage", edit(LEAK, ["paced"], "no"), "paced",
@@ -279,6 +309,14 @@ def test_seed_flag_beats_env(statmux_cfg, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["seed"] == 5
     assert main(["validate", "--config", statmux_cfg]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
+@pytest.mark.parametrize("command", ["run", "paired", "check-labels"])
+def test_scenario_runs_take_no_seed(command, statmux_cfg):
+    # a scenario run reads no seed, so these subcommands offer none
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", statmux_cfg, "--seed", "5"])
+    assert err.value.code == 2
 
 
 def test_unknown_flags_rejected(statmux_cfg):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -256,6 +257,53 @@ def test_default_expectations_cover_statmux_path():
     run = run_scenario(cfg)
     checks = assert_labels(run.trace, default_label_expectations(cfg))
     assert [c.ok for c in checks] == [True, True, True]
+
+
+def paced(kind):
+    """A demand-blind topology with a pacer added: no canonical name."""
+    return dataclasses.replace(build_scenario(kind), pacer=F15)
+
+
+def at(kind, entity):
+    return RecordSelector(kind, entity, {"msg": "res_A0"})
+
+
+SEND, RELEASE, RECV = TraceKind.MSG_SEND, TraceKind.PACER_RELEASE, TraceKind.MSG_RECV
+
+
+@pytest.mark.parametrize("cfg,expected", [
+    pytest.param(build_scenario("dedicated"), [(at(RECV, "gw_A"), "{A/A:inf}")],
+                 id="dedicated"),
+    pytest.param(build_scenario("reservation"), [(at(RECV, "gw_A"), "{A/A:inf}")],
+                 id="reservation"),
+    pytest.param(build_scenario("statmux", freq=F15), [
+        (at(SEND, "core"), "{A/A:inf,B:inf}"),
+        (at(RELEASE, "pacer_A"), "{A/A:1/5,B:1/5}"),
+        (at(RECV, "gw_A"), "{A/A:1/5,B:1/5}")], id="statmux"),
+    pytest.param(build_scenario("statmux", freq=F15, pacer_present=False),
+                 [(at(RECV, "gw_A"), "{A/A:inf,B:inf}")], id="statmux-unpaced"),
+    pytest.param(paced("dedicated"), [
+        (at(SEND, "core_A"), "{A/A:inf}"),
+        (at(RELEASE, "pacer_A"), "{A/A:1/5}"),
+        (at(RECV, "gw_A"), "{A/A:1/5}")], id="private-paced"),
+    pytest.param(paced("reservation"), [
+        (at(SEND, "core"), "{A/A:inf}"),
+        (at(RELEASE, "pacer_A"), "{A/A:1/5}"),
+        (at(RECV, "gw_A"), "{A/A:1/5}")], id="reservation-paced"),
+])
+def test_default_expectations_follow_the_topology(cfg, expected):
+    assert [(sel, str(label)) for sel, label in default_label_expectations(cfg)] == expected
+
+
+@pytest.mark.parametrize("kind", ["dedicated", "reservation"])
+def test_paced_demand_blind_topology_is_checked_and_isolated(kind):
+    report = run_paired(paced(kind), 2, 7)
+    assert report.scenario == "custom"
+    assert report.isolation_required
+    assert len(report.label_checks) == 6 and report.passed  # three checks per run
+    # a pacer that forgets to downgrade is caught by the expected paced label
+    with mock.patch.object(Label, "pace_down", lambda label, limit: label):
+        assert not run_paired(paced(kind), 2, 7).passed
 
 
 def test_assert_labels_reports_missing_selector():
