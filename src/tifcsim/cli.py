@@ -14,7 +14,8 @@ result, whatever the topology.
 
 A config file is one JSON object: a full scenario (users, cores, scheduler
 {kind, users}, pacer {f}, grants, jobs [{owner, work, payload, arrival}],
-horizon, seed, monitor_mode), a shorthand scenario (scenario, f, pacer,
+horizon, seed, monitor_mode; the scheduler's users list each of the
+users exactly once), a shorthand scenario (scenario, f, pacer,
 users, horizon, seed, monitor_mode; f and pacer only for statmux) or, for
 leakage, an experiment (f, short, long, frame, paced, topology, trials,
 horizon, seed). The --expect file is a list of {kind, entity, detail,

@@ -17,7 +17,7 @@ import dataclasses
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Optional, Sequence, Union
+from typing import Deque, Dict, Optional, Sequence, Union
 
 from .kernel import ConfigError, Engine, Entity, Phase, SimError, TraceKind
 from .labels import EMPTY_CAPS, INFINITY, CapabilitySet, Frequency, Label
@@ -94,12 +94,6 @@ class Message:
     label: Label
     msg_id: str
     owner: str
-
-
-def max_label(users: Iterable[str]) -> Label:
-    """All users' content and unbounded timing taint."""
-    users = list(users)
-    return Label(users, {u: INFINITY for u in users})
 
 
 class Gateway(Entity):
@@ -179,7 +173,7 @@ class ComputeCore(Entity):
         self.fixed_user = fixed_user
         self.slots: Dict[str, Deque[Job]] = {u: deque() for u in self.users}
         # Demand derives from every user's jobs: the core's full label.
-        self.clearance = self.demand_label = max_label(self.users)
+        self.clearance = Label(self.users, {u: INFINITY for u in self.users})
         self.routes: Dict[str, Union["Pacer", Gateway]] = {}
         self._last_slice_tick = -1
         self._ctrl_label: Optional[Label] = None
@@ -289,7 +283,7 @@ def offer_demand(sim: Engine, monitor: Monitor, core: ComputeCore,
     Demand derives from every customer's job state, so the message carries
     all users' taint; an empty-labeled scheduler must be denied it.
     """
-    return monitor.send(sim, core, scheduler, core.demand_label, f"demand@{sim.now}")
+    return monitor.send(sim, core, scheduler, core.clearance, f"demand@{sim.now}")
 
 
 class Scheduler(Entity):
@@ -298,12 +292,11 @@ class Scheduler(Entity):
     phase = Phase.SCHEDULER
 
     def __init__(self, entity_id: str, core: ComputeCore, monitor: Monitor,
-                 label: Label):
+                 clearance: Label):
         super().__init__(entity_id)
         self.core = core
         self.monitor = monitor
-        self.label = label
-        self.clearance = label
+        self.clearance = clearance
 
     def decide(self, sim: Engine) -> Optional[str]:
         raise NotImplementedError
@@ -318,9 +311,9 @@ class Scheduler(Entity):
         """Tell the core whose slice this tick is; the control message
         taints the core's jobs with this scheduler's timing."""
         named = {"user": user}
-        if self.monitor.send(sim, self, self.core, self.label, f"ctl@{sim.now}",
+        if self.monitor.send(sim, self, self.core, self.clearance, f"ctl@{sim.now}",
                              sent=named, received=named).allowed:
-            self.core.taint_jobs(sim, self.label)
+            self.core.taint_jobs(sim, self.clearance)
             sim.schedule(sim.now, self.core.handle, user)
 
 
@@ -349,7 +342,7 @@ class DemandScheduler(Scheduler):
 
     def __init__(self, core: ComputeCore, monitor: Monitor,
                  order: Sequence[str]):
-        super().__init__("sched", core, monitor, max_label(core.users))
+        super().__init__("sched", core, monitor, core.clearance)
         if not order:
             raise ConfigError("scheduler order must be non-empty")
         self.order = tuple(order)

@@ -184,5 +184,7 @@ def trace_to_jsonl(records) -> str:
 
 
 def trace_from_jsonl(text: str) -> List[TraceRecord]:
-    """Records of the non-blank lines of ``text``; ValueError on any other."""
-    return [TraceRecord.from_json(line) for line in text.splitlines() if line.strip()]
+    """Records of the non-blank lines of ``text``; ValueError on any other.
+    Lines end at ``\\n`` only: JSON strings may hold U+2028, U+2029 and
+    U+0085 raw, which ``str.splitlines`` would also split on."""
+    return [TraceRecord.from_json(line) for line in text.split("\n") if line.strip()]

@@ -9,6 +9,9 @@ infinity for "unbounded"; all comparisons are exact, never floating point.
 A bound *covers* a tag when it holds the same content tag, or a timing
 entry for the same user at an equal or higher frequency. ``Label.uncovered``
 states this one rule; the flow order and declassification are read off it.
+Every bound is a label: a ``CapabilitySet`` is the label of what its
+capabilities may strip, each user's largest limit as timing and the users
+whose limit is infinite as content.
 
 The flow order, join, declassification and the pacing downgrade defined here
 are pure functions over immutable values, safe to share freely. Because
@@ -90,10 +93,10 @@ class Frequency:
 
     @classmethod
     def parse(cls, text: str, offset: int = 0) -> "Frequency":
-        """Parse ``inf``, a decimal integer, or ``NUM/DEN``."""
+        """Parse ``inf``, a decimal integer, or ``NUM/DEN``; digits are ASCII."""
         if text == "inf":
             return INFINITY
-        m = re.fullmatch(r"(\d+)(?:/(\d+))?", text)
+        m = re.fullmatch(r"([0-9]+)(?:/([0-9]+))?", text)
         if not m:
             raise LabelParseError(f"bad frequency {text!r}", offset)
         num = int(m.group(1))
@@ -170,10 +173,11 @@ class Label:
 
     # -- the flow order and its join --------------------------------------
 
-    def uncovered(self, bound: Union["Label", "CapabilitySet"]) -> Tuple[frozenset, dict]:
-        """Tags of ``self`` that ``bound`` (a label or capability set) does
-        not cover, as ``(content, timing)``: content outside ``bound``'s
-        content, timing entries above ``bound``'s frequency for the user."""
+    def uncovered(self, bound: "Label") -> Tuple[frozenset, dict]:
+        """Tags of ``self`` that ``bound`` does not cover, as ``(content,
+        timing)``: content outside ``bound``'s content, timing entries above
+        ``bound``'s frequency for the user. A destination's label and a
+        ``CapabilitySet`` are both such a bound."""
         limits = bound._timing
         timing = {u: f for u, f in self._timing.items() if u not in limits or limits[u] < f}
         return self._content - bound._content, timing
@@ -290,40 +294,20 @@ class Capability:
         return cls(m.group(1), limit)
 
 
-class CapabilitySet:
-    """Redundancy-free set of capabilities: each user's largest limit.
+class CapabilitySet(Label):
+    """A set of capabilities, stored as the label of what it may strip.
 
-    It covers tags the way a label does: ``_timing`` maps each user to the
-    largest limit, ``_content`` holds the users whose limit is infinite.
+    Each user's largest limit is a timing entry, and each user whose limit
+    is infinite is a content tag, so it covers tags the way a label does:
+    ``CapabilitySet([Capability("A"), Capability("B", Frequency(1, 5))])``
+    equals ``Label.parse("{A/A:inf,B:1/5}")``.
     """
 
-    __slots__ = ("_timing", "_content", "_hash")
+    __slots__ = ()
 
     def __init__(self, caps: Iterable[Capability] = ()):
-        best: dict = {}
-        for cap in caps:
-            if cap.user not in best or best[cap.user] < cap.limit:
-                best[cap.user] = cap.limit
-        self._timing = dict(sorted(best.items()))
-        self._content = frozenset(u for u, f in best.items() if f.is_infinite)
-        self._hash = hash(tuple(self._timing.items()))
-
-    def __iter__(self):
-        return (Capability(u, f) for u, f in self._timing.items())
-
-    def __len__(self) -> int:
-        return len(self._timing)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CapabilitySet):
-            return NotImplemented
-        return self._timing == other._timing
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"CapabilitySet({sorted(map(str, self))})"
+        limits = [(cap.user, cap.limit) for cap in caps]
+        super().__init__((u for u, f in limits if f.is_infinite), limits)
 
 
 EMPTY_CAPS = CapabilitySet()

@@ -66,8 +66,10 @@ class ScenarioConfig:
         if self.scheduler is not None:
             if self.scheduler.kind not in ("reservation", "demand"):
                 raise ConfigError(f"unknown scheduler kind {self.scheduler.kind!r}")
-            if not self.scheduler.users or not set(self.scheduler.users) <= set(self.users):
-                raise ConfigError("scheduler users must be a non-empty subset of users")
+            # Users are unique, so the same length and set list each one once.
+            order = self.scheduler.users
+            if len(order) != len(self.users) or set(order) != set(self.users):
+                raise ConfigError("scheduler users must list each of the users exactly once")
         if self.pacer is not None:
             pacer_period(self.pacer)
         for u, caps in self.grants.items():

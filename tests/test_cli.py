@@ -195,6 +195,8 @@ CONFIG_ERRORS = [
     pytest.param("run", edit(SHORT, ["horizon"], "10"), "horizon",
                  id="shorthand-horizon-str"),
     pytest.param("run", edit(SHORT, ["f"], 5), "f:", id="f-int"),
+    pytest.param("run", edit(SHORT, ["f"], "\u0661/\u0665"), "config.f: bad frequency",
+                 id="f-non-ascii-digits"),
     pytest.param("run", {"users": ["A-B"], "scheduler": {"kind": "demand",
                                                           "users": ["A-B"]}},
                  "users", id="user-A-B"),
@@ -230,6 +232,11 @@ CONFIG_ERRORS = [
                  id="paired-observer-no-jobs"),
     pytest.param("check-labels", edit(SHORT, ["users"], ["C", "D"]),
                  "user C, who has no jobs", id="check-labels-first-user-no-jobs"),
+    pytest.param("check-labels", {"users": ["A", "B"], "cores": "shared",
+                                  "scheduler": {"kind": "demand", "users": ["B"]},
+                                  "jobs": [{"owner": "A", "work": 1}], "horizon": 5},
+                 "scheduler users must list each of the users exactly once",
+                 id="check-labels-scheduler-starves-a-user"),
     pytest.param("leakage", [1], "config: expected an object", id="leakage-list"),
     pytest.param("leakage", edit(LEAK, ["seed"], "a"), "seed", id="leakage-seed-str"),
     pytest.param("leakage", edit(LEAK, ["paced"], "no"), "paced",

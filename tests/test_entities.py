@@ -466,14 +466,14 @@ def test_high_label_scheduler_cannot_message_customers():
         gw = engine.entity(gw_id)
         decision = monitor.decide(
             engine, at=gw.id, src=sched.id, dst=f"user_{gw.owner}",
-            src_label=sched.label, caps=gw.caps, dst_label=gw.stamp,
+            src_label=sched.clearance, caps=gw.caps, dst_label=gw.stamp,
         )
         assert not decision.allowed
     # while the trusted shared-core control logic may receive it
     core = engine.entity("core")
     from tifcsim.labels import EMPTY_CAPS
     from tifcsim.monitor import check_send
-    assert check_send(sched.label, EMPTY_CAPS, core.clearance).allowed
+    assert check_send(sched.clearance, EMPTY_CAPS, core.clearance).allowed
 
 
 def test_process_label_invariant_holds_across_statmux_trace():

@@ -197,11 +197,13 @@ def planted(**changes):
     planted(kind="Nope"), planted(kind=4),
     planted(entity=5), planted(entity=None),
     planted(label=5), planted(label=["{A/A:inf}"]), planted(label="{A"),
+    planted(label="{-/A:\u0661/\u0665}"),
     planted(detail={"work": 4}), planted(detail=["m"]), planted(detail=None),
     "[1, 2]", '"core"', "null", "{not json",
     planted(detail=...), planted(label=...), planted(t=...), planted(extra="x"),
 ], ids=["t-float", "t-str", "t-bool", "kind-unknown", "kind-int", "entity-int",
-        "entity-null", "label-int", "label-list", "label-unparsable", "detail-int-value",
+        "entity-null", "label-int", "label-list", "label-unparsable", "label-non-ascii-digits",
+        "detail-int-value",
         "detail-list", "detail-null", "list", "string", "null", "not-json",
         "no-detail", "no-label", "no-t", "extra-key"])
 def test_from_json_rejects_lines_outside_the_schema(line):
@@ -236,6 +238,17 @@ def test_jsonl_helpers_roundtrip():
     sim.schedule(0, p.handle, "x")
     trace = sim.run_until(1)
     assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+def test_jsonl_lines_end_at_newline_only(sep):
+    # JSON allows these raw inside a string; str.splitlines would split there.
+    rec = TraceRecord(0, TraceKind.MSG_RECV, "gw_A", detail={"payload": f"a{sep}b"})
+    raw = json.dumps({"detail": dict(rec.detail), "entity": rec.entity, "kind": rec.kind.value,
+                      "label": None, "t": 0}, ensure_ascii=False)
+    assert sep in raw
+    assert trace_from_jsonl(raw + "\n" + raw) == [rec, rec]
+    assert trace_from_jsonl(trace_to_jsonl([rec])) == [rec]
 
 
 @pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data").glob("*.jsonl")),

@@ -235,7 +235,7 @@ def _deny_demand():
     sim, monitor, core = _core()
     sched = sim.add(Scheduler("sched", core, monitor, EMPTY_LABEL))
     offer_demand(sim, monitor, core, sched)
-    return sim, ("core", "sched"), lambda: sched.label == EMPTY_LABEL
+    return sim, ("core", "sched"), lambda: sched.clearance == EMPTY_LABEL
 
 
 def _deny_control():

@@ -76,6 +76,9 @@ def test_unknown_scenario_kind():
         dict(cores="shared", scheduler=None),
         dict(scheduler=SchedulerSpec("lottery", ("A",))),
         dict(scheduler=SchedulerSpec("demand", ("Z",))),
+        dict(scheduler=SchedulerSpec("demand", ("B",))),  # A's jobs would never run
+        dict(scheduler=SchedulerSpec("reservation", ("A", "B", "A"))),
+        dict(scheduler=SchedulerSpec("demand", ("A", "A"))),
         dict(pacer=Frequency(2, 3)),
         dict(jobs=(JobSpec("Z", 1),)),
         dict(jobs=(JobSpec("A", 0),)),

@@ -8,10 +8,14 @@ package's exports. Every memo is bounded: an ``lru_cache`` names an integer
 ``maxsize`` and ``functools.cache`` is not used, so a long run or a fuzz
 test cannot grow a cache without limit. And there is no ``assert``
 statement: ``python -O`` strips them, so an invariant raises ``ConfigError``
-or ``SimError`` instead.
+or ``SimError`` instead. No regex literal uses ``\\d``, ``\\w``, ``\\s`` or
+``\\b`` without ``re.ASCII``: on a ``str`` pattern each of them also matches
+non-ASCII text (``\\d`` matches ``\u0661``), so a parser would accept input
+its writer never produces.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -109,6 +113,39 @@ def bare_asserts(source: str) -> list:
             if isinstance(node, ast.Assert)]
 
 
+# The ``re`` functions whose first argument is a pattern.
+RE_FUNCTIONS = {"compile", "search", "match", "fullmatch", "split", "findall",
+                "finditer", "sub", "subn"}
+
+
+def unicode_regex_classes(source: str) -> list:
+    """Each ``\\d``, ``\\w``, ``\\s`` or ``\\b`` in a literal pattern of an
+    ``re`` call that is not passed ``re.ASCII`` (or ``re.A``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                and node.func.attr in RE_FUNCTIONS and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            continue
+        rest = [*node.args[1:], *(k.value for k in node.keywords)]
+        if any(isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+               and sub.value.id == "re" and sub.attr in ("ASCII", "A")
+               for arg in rest for sub in ast.walk(arg)):
+            continue
+        # Each escape is a backslash and the character after it, so an
+        # escaped backslash followed by "d" is no class.
+        escapes = re.findall(r"\\(.)", node.args[0].value, re.DOTALL)
+        found |= {(node.lineno, c) for c in escapes if c in "dwsb"}
+    return [f"line {line}: \\{c}" for line, c in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unicode_regex_class(path):
+    assert unicode_regex_classes(path.read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_bare_assert(path):
     assert bare_asserts(path.read_text(encoding="utf-8")) == []
@@ -173,3 +210,17 @@ def test_assert_checker_flags_planted_assert():
                "    assert x > 0, 'positive'\n"
                "    return 'assert'\n")
     assert bare_asserts(planted) == ["line 4: assert"]
+
+
+def test_regex_checker_flags_unicode_classes():
+    planted = ("import re\n"
+               "A = re.compile(r'[0-9]+[A-Za-z_]')\n"
+               "B = re.compile(r'(\\d+)/(\\d+)')\n"
+               "C = re.fullmatch(r'\\w+\\s\\b', x)\n"
+               "D = re.compile(r'\\d\\b', re.ASCII)\n"
+               "E = re.search(r'\\\\d', x)\n"
+               "F = re.sub(r'\\s', ' ', x, flags=re.A | re.I)\n"
+               "G = re.split(r'\\s', x, flags=re.I)\n"
+               "H = TAG.match(r'\\d')\n")
+    assert unicode_regex_classes(planted) == [
+        "line 3: \\d", "line 4: \\b", "line 4: \\s", "line 4: \\w", "line 8: \\s"]
