@@ -93,7 +93,6 @@ class Message:
     payload: str
     label: Label
     msg_id: str
-    owner: str
 
 
 class Gateway(Entity):
@@ -131,15 +130,11 @@ class Gateway(Entity):
         return job
 
     def handle(self, sim: Engine, msg: Message) -> FlowDecision:
-        decision = self.monitor.decide(
+        return self.monitor.decide(
             sim, at=self.id, src=self.id, dst=f"user_{self.owner}",
-            src_label=msg.label, caps=self.caps,
-            dst_label=self.stamp, msg=msg.msg_id,
+            src_label=msg.label, caps=self.caps, dst_label=self.stamp,
+            msg=msg.msg_id, to=self.owner, payload=msg.payload,
         )
-        if decision.allowed:
-            sim.emit(TraceKind.MSG_RECV, self.id, label=msg.label,
-                     msg=msg.msg_id, to=self.owner, payload=msg.payload)
-        return decision
 
 
 class ComputeCore(Entity):
@@ -223,10 +218,10 @@ class ComputeCore(Entity):
             digest = result_payload(job.payload_bits)
             sim.emit(TraceKind.JOB_COMPLETE, self.id, label=job.label,
                      job=job.job_id, owner=user, result=digest)
-            self._send_result(sim, Message(digest, job.label, f"res_{job.job_id}", user))
+            self._send_result(sim, user, Message(digest, job.label, f"res_{job.job_id}"))
 
-    def _send_result(self, sim: Engine, msg: Message) -> None:
-        target = self.routes[msg.owner]
+    def _send_result(self, sim: Engine, user: str, msg: Message) -> None:
+        target = self.routes[user]
         if isinstance(target, Pacer):
             if self.monitor.send(sim, self, target, msg.label, msg.msg_id,
                                  received={"queued": len(target.queue) + 1}).allowed:
@@ -257,7 +252,6 @@ class Pacer(Entity):
         downstream: Gateway,
     ):
         super().__init__(f"pacer_{owner}")
-        self.owner = owner
         self.freq = freq
         self.period = pacer_period(freq)
         self.downstream = downstream

@@ -231,7 +231,9 @@ class Label:
     @classmethod
     @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
     def parse(cls, text: str) -> "Label":
-        """Inverse of ``str``; raises LabelParseError with a position."""
+        """Inverse of ``str``: only the canonical spelling parses (sorted
+        tags, each once, frequencies in lowest terms). Raises
+        LabelParseError with a position."""
         if not text or text[0] != "{":
             raise LabelParseError("expected '{'", 0)
         if text[-1] != "}":
@@ -257,7 +259,13 @@ class Label:
                     raise LabelParseError(f"bad timing tag {piece!r}", pos)
                 timing.append((user, Frequency.parse(freq_text, pos + len(user) + 1)))
                 pos += len(piece) + 1
-        return cls(content, timing)
+        label = cls(content, timing)
+        canonical = str(label)
+        if canonical != text:
+            # Each ends at its only '}', so neither is a prefix of the other.
+            pos = next(i for i, (a, b) in enumerate(zip(text, canonical)) if a != b)
+            raise LabelParseError(f"not the canonical spelling {canonical!r}", pos)
+        return label
 
 
 EMPTY_LABEL = Label()

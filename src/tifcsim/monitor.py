@@ -7,6 +7,7 @@ timing-only: scheduler control joins into a job's label only in its lifted
 (pure-timing) form, so control can taint when a job runs but never what it
 computes.
 
+``Monitor.decide`` writes every decision and the delivery it allows.
 ``Monitor.send`` is the one checked send between entities; only the
 customer-facing gateway egress decides with capabilities of its own.
 
@@ -77,10 +78,12 @@ class Monitor:
         src_label: Label,
         caps: CapabilitySet,
         dst_label: Label,
-        **detail: str,
+        msg: str,
+        **received: object,
     ) -> FlowDecision:
         """Check src->dst and emit a MonitorAllow/MonitorDeny record at
-        ``at`` (the enforcing entity). Fatal mode raises on deny."""
+        ``at`` (the enforcing entity); on allow, also the MsgRecv there,
+        with ``received`` as its detail. Fatal mode raises on deny."""
         decision = check_send(src_label, caps, dst_label)
         kind = TraceKind.MONITOR_ALLOW if decision.allowed else TraceKind.MONITOR_DENY
         record = sim.emit(
@@ -92,24 +95,23 @@ class Monitor:
             dst_label=str(dst_label),
             effective=str(decision.effective),
             residual=",".join(decision.residual),
-            **detail,
+            msg=msg,
         )
-        if not decision.allowed and self.mode is MonitorMode.FATAL:
+        if decision.allowed:
+            sim.emit(TraceKind.MSG_RECV, at, label=src_label, msg=msg, **received)
+        elif self.mode is MonitorMode.FATAL:
             raise MonitorFault(f"flow denied at {at}: {record.detail['residual']}", record)
         return decision
 
     def send(self, sim: Engine, src: Entity, dst: Entity, label: Label, msg: str,
              sent: Optional[Mapping[str, object]] = None,
              received: Optional[Mapping[str, object]] = None) -> FlowDecision:
-        """Mediate one message: MsgSend at ``src``, the decision at ``dst``
-        against ``dst.clearance`` with no capabilities, and MsgRecv at
-        ``dst`` when allowed. ``sent`` and ``received`` add detail to the
-        two records; the caller delivers the message on allow."""
+        """Mediate one message: MsgSend at ``src``, then ``decide`` at
+        ``dst`` against ``dst.clearance`` with no capabilities, which writes
+        the decision and the MsgRecv it allows. ``sent`` and ``received``
+        add detail to the two records; the caller delivers on allow."""
         sim.emit(TraceKind.MSG_SEND, src.id, label=label, msg=msg, to=dst.id,
                  **(sent or {}))
-        decision = self.decide(sim, at=dst.id, src=src.id, dst=dst.id, src_label=label,
-                               caps=EMPTY_CAPS, dst_label=dst.clearance, msg=msg)
-        if decision.allowed:
-            sim.emit(TraceKind.MSG_RECV, dst.id, label=label, msg=msg,
-                     **(received or {}))
-        return decision
+        return self.decide(sim, at=dst.id, src=src.id, dst=dst.id, src_label=label,
+                           caps=EMPTY_CAPS, dst_label=dst.clearance, msg=msg,
+                           **(received or {}))

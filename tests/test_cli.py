@@ -318,6 +318,19 @@ def test_seed_flag_beats_env(statmux_cfg, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["seed"] == 0
 
 
+@pytest.mark.parametrize("flag,seeds", [(["--seed", "40"], [40, 41]), ([], [9, 10])],
+                         ids=["flag", "config"])
+def test_leakage_seed_flag_replaces_config_seed(flag, seeds, tmp_path):
+    # trial i runs with seed + i, from --seed when given, else the config's
+    cfg = write(tmp_path / "cfg.json", {"f": "1/5", "trials": 2, "seed": 9})
+    out = tmp_path / "out"
+    assert main(["leakage", "--config", cfg, "--out", str(out)] + flag) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [t["seed"] for t in report["trials"]] == seeds
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == seeds
+
+
 @pytest.mark.parametrize("command", ["run", "paired", "check-labels"])
 def test_scenario_runs_take_no_seed(command, statmux_cfg):
     # a scenario run reads no seed, so these subcommands offer none

@@ -235,7 +235,7 @@ def make_pacer(freq=F15):
 
 
 def msg(jid, label):
-    return Message(result_payload("1"), label, f"res_{jid}", "A")
+    return Message(result_payload("1"), label, f"res_{jid}")
 
 
 def test_core_result_enters_pacer_through_checked_send():
@@ -466,7 +466,7 @@ def test_high_label_scheduler_cannot_message_customers():
         gw = engine.entity(gw_id)
         decision = monitor.decide(
             engine, at=gw.id, src=sched.id, dst=f"user_{gw.owner}",
-            src_label=sched.clearance, caps=gw.caps, dst_label=gw.stamp,
+            src_label=sched.clearance, caps=gw.caps, dst_label=gw.stamp, msg="m0",
         )
         assert not decision.allowed
     # while the trusted shared-core control logic may receive it

@@ -197,14 +197,14 @@ def planted(**changes):
     planted(kind="Nope"), planted(kind=4),
     planted(entity=5), planted(entity=None),
     planted(label=5), planted(label=["{A/A:inf}"]), planted(label="{A"),
-    planted(label="{-/A:\u0661/\u0665}"),
+    planted(label="{-/A:\u0661/\u0665}"), planted(label="{B,A/-}"),
     planted(detail={"work": 4}), planted(detail=["m"]), planted(detail=None),
     "[1, 2]", '"core"', "null", "{not json",
     planted(detail=...), planted(label=...), planted(t=...), planted(extra="x"),
 ], ids=["t-float", "t-str", "t-bool", "kind-unknown", "kind-int", "entity-int",
         "entity-null", "label-int", "label-list", "label-unparsable", "label-non-ascii-digits",
-        "detail-int-value",
-        "detail-list", "detail-null", "list", "string", "null", "not-json",
+        "label-not-canonical", "detail-int-value", "detail-list", "detail-null", "list",
+        "string", "null", "not-json",
         "no-detail", "no-label", "no-t", "extra-key"])
 def test_from_json_rejects_lines_outside_the_schema(line):
     assert TraceRecord.from_json(planted()).to_json() == planted()

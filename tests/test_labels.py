@@ -326,6 +326,12 @@ def test_canonical_text_fixed_grammar():
         ("{A/B:}", 5),
         ("{A/B:x}", 5),
         ("{A,/-}", 3),
+        # only the canonical spelling parses: sorted, each tag once, lowest terms
+        ("{A/B:1/5,A:inf}", 3),
+        ("{A/A:10/50}", 6),
+        ("{B,A/-}", 1),
+        ("{A,A/-}", 2),
+        ("{-/A:01}", 5),
     ],
 )
 def test_parse_errors_carry_position(text, pos):

@@ -133,19 +133,21 @@ def test_monitor_records_allow_and_deny():
                   CapabilitySet([Capability("B", F15)]), Label.parse("{A/A:inf}"))
     assert ok.allowed and not bad.allowed
     log = sim.trace  # the trace is the audit log
-    assert [r.kind for r in log] == [TraceKind.MONITOR_ALLOW, TraceKind.MONITOR_DENY]
-    assert log[1].detail["residual"] == "B:inf"
-    assert [r for r in log if r.kind is TraceKind.MONITOR_DENY] == [log[1]]
+    assert [r.kind for r in log] == [TraceKind.MONITOR_ALLOW, TraceKind.MSG_RECV,
+                                     TraceKind.MONITOR_DENY]
+    assert log[2].detail["residual"] == "B:inf"
+    assert [r for r in log if r.kind is TraceKind.MONITOR_DENY] == [log[2]]
 
 
 def test_monitor_empty_audit_log():
-    # nothing is recorded before a decision, and each decision adds one record
+    # nothing is recorded before a decision, and each allowed decision adds
+    # two records: the decision and the delivery
     sim = Engine()
     monitor = Monitor()
     assert sim.trace == []
     for _ in range(3):
         _decide(monitor, sim, EMPTY_LABEL, EMPTY_CAPS, EMPTY_LABEL)
-    assert len(sim.trace) == 3
+    assert len(sim.trace) == 6
 
 
 def test_fatal_mode_raises_with_record():

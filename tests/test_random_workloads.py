@@ -1,15 +1,17 @@
-"""Gateway verdicts, the pacer grid, determinism and noninterference on
-random topologies and workloads.
+"""Gateway verdicts, complete mediation, the pacer grid, determinism and
+noninterference on random topologies and workloads.
 
 Each example draws 2-4 users, private cores or a shared core under a
 reservation or demand scheduler, with or without a pacer, and random grants
 and jobs. Every gateway decision is checked against the tag-by-tag oracle
 in ``tests/reference.py``, which reads the grants as a plain list of
 ``Capability`` values, so a run checks ``CapabilitySet`` and
-``check_send`` together. With a pacer, releases and deliveries land on its
-grid with timing at most its frequency. Two runs give the same bytes, and
-without a demand scheduler the first user's gateway records do not change
-when every other user's jobs are drawn again.
+``check_send`` together. Every delivery directly follows the monitor's
+allow for it, and every allow directly precedes its delivery. With a
+pacer, releases and deliveries land on its grid with timing at most its
+frequency. Two runs give the same bytes, and without a demand scheduler
+the first user's gateway records do not change when every other user's
+jobs are drawn again.
 """
 
 import dataclasses
@@ -50,6 +52,15 @@ def configs(draw):
                           jobs=tuple(draw(jobs_of(users))), horizon=HORIZON)
 
 
+def is_delivery(allow, recv):
+    """``recv`` is the MsgRecv that ``allow`` admitted: same entity, tick
+    and msg. Either may be ``None``, past an end of the trace."""
+    return (allow is not None and recv is not None
+            and allow.kind is TraceKind.MONITOR_ALLOW and recv.kind is TraceKind.MSG_RECV
+            and (allow.entity, allow.t, allow.detail["msg"])
+            == (recv.entity, recv.t, recv.detail["msg"]))
+
+
 def gateway_view(trace, user):
     return [r.to_json() for r in trace if r.entity == f"gw_{user}"]
 
@@ -66,6 +77,13 @@ def test_random_topologies_keep_their_promises(cfg, data):
             if r.entity == f"gw_{user}" and r.kind in EGRESS:
                 allowed = r.kind is not TraceKind.MONITOR_DENY
                 assert oracle_flow_allowed(r.label, grants, stamp) is allowed, r
+
+    padded = [None, *trace, None]
+    for before, r, after in zip(padded, padded[1:], padded[2:]):
+        if r.kind is TraceKind.MSG_RECV:
+            assert is_delivery(before, r), r
+        elif r.kind is TraceKind.MONITOR_ALLOW:
+            assert is_delivery(r, after), r
 
     if cfg.pacer is not None:
         period = pacer_period(cfg.pacer)

@@ -11,7 +11,11 @@ statement: ``python -O`` strips them, so an invariant raises ``ConfigError``
 or ``SimError`` instead. No regex literal uses ``\\d``, ``\\w``, ``\\s`` or
 ``\\b`` without ``re.ASCII``: on a ``str`` pattern each of them also matches
 non-ASCII text (``\\d`` matches ``\u0661``), so a parser would accept input
-its writer never produces.
+its writer never produces. Outside ``monitor.py``, every ``.emit(...)``
+call names its kind as a literal ``TraceKind.<member>`` other than
+``MSG_RECV``, ``MONITOR_ALLOW`` and ``MONITOR_DENY``: the monitor writes
+every decision and the delivery it allows, so nothing is delivered that it
+did not allow.
 """
 
 import ast
@@ -141,6 +145,33 @@ def unicode_regex_classes(source: str) -> list:
     return [f"line {line}: \\{c}" for line, c in sorted(found)]
 
 
+# The kinds only the monitor may record: its decisions and the deliveries.
+MONITOR_KINDS = {"MSG_RECV", "MONITOR_ALLOW", "MONITOR_DENY"}
+
+
+def unmediated_emits(source: str) -> list:
+    """Each ``.emit(...)`` call whose kind is not a literal
+    ``TraceKind.<member>``, or is one of ``MONITOR_KINDS``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"):
+            continue
+        kind = node.args[0] if node.args else None
+        if not (isinstance(kind, ast.Attribute) and isinstance(kind.value, ast.Name)
+                and kind.value.id == "TraceKind"):
+            found.append(f"line {node.lineno}: kind is not a TraceKind literal")
+        elif kind.attr in MONITOR_KINDS:
+            found.append(f"line {node.lineno}: TraceKind.{kind.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "monitor.py"],
+                         ids=lambda p: p.name)
+def test_only_the_monitor_records_decisions_and_deliveries(path):
+    assert unmediated_emits(path.read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unicode_regex_class(path):
     assert unicode_regex_classes(path.read_text(encoding="utf-8")) == []
@@ -224,3 +255,13 @@ def test_regex_checker_flags_unicode_classes():
                "H = TAG.match(r'\\d')\n")
     assert unicode_regex_classes(planted) == [
         "line 3: \\d", "line 4: \\b", "line 4: \\s", "line 4: \\w", "line 8: \\s"]
+
+
+def test_emit_checker_flags_unmediated_records():
+    planted = ("def f(sim, kind):\n"
+               "    sim.emit(TraceKind.SLICE_START, 'core')\n"
+               "    sim.emit(TraceKind.MSG_RECV, 'gw_A', msg='m')\n"
+               "    sim.emit(kind, 'gw_A')\n"
+               "    emit(TraceKind.MONITOR_ALLOW, 'x')\n")
+    assert unmediated_emits(planted) == [
+        "line 3: TraceKind.MSG_RECV", "line 4: kind is not a TraceKind literal"]
