@@ -5,6 +5,11 @@ the event phases give a fixed interaction order: job arrivals land at
 gateways (``Gateway.ingress``), pacers fire, the scheduler decides, the core
 runs one timeslice, gateways deliver (``Gateway.handle``).
 
+Clocks advance to the next event, not tick by tick: a demand scheduler, a
+private core and a pacer are ``Sleeper``s, which stop re-arming once their
+group has no work and are woken when work arrives. Only the reservation
+scheduler, blind to demand, ticks every tick.
+
 Cores execute jobs deterministically: a job's result payload is a pure
 function of its input bits, independent of when and how its slices were
 interleaved. Only completion *timing* can carry other users' information,
@@ -95,6 +100,59 @@ class Message:
     msg_id: str
 
 
+class Sleeper(Entity):
+    """An entity whose clock stops while it and its peers are idle.
+
+    The clock ticks on the multiples of ``period``, each tick a call of
+    ``handle`` with ``tick_args``. ``peers`` is the member's group in
+    wiring order: the entity alone, or every member given to
+    ``group_peers``. ``handle`` ends in ``rest``, which re-arms the
+    member's next tick while the group is busy and otherwise puts it to
+    sleep; ``wake`` re-arms every sleeping peer, in wiring order. Work
+    reaches a group only in another phase, so while its members tick its
+    work only shrinks: the members that re-arm are a prefix of the group,
+    and the sleepers a wake re-arms come after them. Same-tick events of a
+    group thus run in the order they would if every member ticked every
+    tick. A sleeper's idle tick writes no record but a
+    demand offer, so sleeping through idle ticks removes those offers from
+    the trace and nothing else.
+    """
+
+    period = 1
+    tick_args: tuple = ()
+
+    def __init__(self, entity_id: str):
+        super().__init__(entity_id)
+        self.peers: Sequence[Sleeper] = (self,)
+        self.asleep = False
+
+    def next_tick(self, now: int) -> int:
+        """The first tick of this member's clock after ``now``."""
+        return now - now % self.period + self.period
+
+    def rest(self, sim: Engine, busy: bool) -> None:
+        """End of a tick: re-arm for the next one while ``busy``, else sleep."""
+        if busy:
+            sim.schedule(self.next_tick(sim.now), self.handle, *self.tick_args)
+        else:
+            self.asleep = True
+
+    def wake(self, sim: Engine, time: int) -> None:
+        """Re-arm every sleeping peer at ``time``, in wiring order."""
+        for peer in self.peers:
+            if peer.asleep:
+                peer.asleep = False
+                sim.schedule(time, peer.handle, *peer.tick_args)
+
+
+def group_peers(sleepers: Sequence[Sleeper]) -> None:
+    """Make ``sleepers``, in wiring order, one group that sleeps and wakes
+    together."""
+    peers = tuple(sleepers)
+    for sleeper in peers:
+        sleeper.peers = peers
+
+
 class Gateway(Entity):
     """Per-customer boundary node.
 
@@ -114,7 +172,8 @@ class Gateway(Entity):
         self.core: Optional["ComputeCore"] = None
 
     def ingress(self, sim: Engine, spec: JobSpec, job_id: str) -> Job:
-        """Stamp the owner's job and send it to the core's slot."""
+        """Stamp the owner's job, send it to the core's slot and wake the
+        core's clock, which the arrival phase runs ahead of."""
         if spec.owner != self.owner:
             raise ConfigError(f"{self.id} cannot accept a request from {spec.owner!r}")
         if self.core is None:
@@ -127,6 +186,7 @@ class Gateway(Entity):
         if self.monitor.send(sim, self, self.core, job.label, f"job_{job_id}",
                              received={"owner": job.owner}).allowed:
             self.core.slots[job.owner].append(job)
+            self.core.clock.wake(sim, sim.now)
         return job
 
     def handle(self, sim: Engine, msg: Message) -> FlowDecision:
@@ -137,13 +197,15 @@ class Gateway(Entity):
         )
 
 
-class ComputeCore(Entity):
+class ComputeCore(Sleeper):
     """A core with isolated per-customer job queues ("slots").
 
     Runs at most one job slice per tick: its own fixed user when private,
     otherwise whichever user the scheduler's control message named for the
     current tick. Control messages are timing-only: they taint every live
-    job's timing, never its content.
+    job's timing, never its content. ``clock`` is the sleeper whose ticks
+    run its slices, which an arriving job wakes: the core itself when
+    private, its scheduler when shared.
 
     Each job is tainted once. A slot changes only by ``append`` (a job
     arrives) and ``popleft`` (a job completes), so the jobs already joined
@@ -166,6 +228,8 @@ class ComputeCore(Entity):
         self.users = tuple(users)
         self.monitor = monitor
         self.fixed_user = fixed_user
+        self.tick_args = (fixed_user,)
+        self.clock: Sleeper = self
         self.slots: Dict[str, Deque[Job]] = {u: deque() for u in self.users}
         # Demand derives from every user's jobs: the core's full label.
         self.clearance = Label(self.users, {u: INFINITY for u in self.users})
@@ -191,11 +255,12 @@ class ComputeCore(Entity):
             self._tainted[user] = len(queue)
 
     def handle(self, sim: Engine, user: str) -> None:
-        """Run one slice of ``user``'s work. A private core re-arms its own
-        slice for the next tick."""
+        """Run one slice of ``user``'s work. A private core then re-arms
+        its own slice for the next tick while it or a peer holds a job,
+        and otherwise sleeps until a job arrives."""
         self.run_slice(sim, user)
         if self.fixed_user is not None:
-            sim.schedule(sim.now + 1, self.handle, user)
+            self.rest(sim, any(peer.slots[peer.fixed_user] for peer in self.peers))
 
     def run_slice(self, sim: Engine, user: str) -> None:
         if user not in self.slots:
@@ -226,6 +291,7 @@ class ComputeCore(Entity):
             if self.monitor.send(sim, self, target, msg.label, msg.msg_id,
                                  received={"queued": len(target.queue) + 1}).allowed:
                 target.queue.append(msg)
+                target.wake(sim, target.next_tick(sim.now))
         else:
             # Gateway route: the egress decision is the guard.
             sim.emit(TraceKind.MSG_SEND, self.id, label=msg.label,
@@ -233,13 +299,15 @@ class ComputeCore(Entity):
             sim.schedule(sim.now, target.handle, msg)
 
 
-class Pacer(Entity):
+class Pacer(Sleeper):
     """FIFO queue whose output releases at most one message per clock tick.
 
-    The clock fires at each positive multiple of the period; a release
-    downgrades the message's timing tags to the pacer's frequency. Between
-    ticks nothing leaves, so the queue's observable emptiness carries at
-    most one bit per period.
+    The clock ticks on positive multiples of the period, and only while
+    this or a peer pacer holds a message; a message queued while the
+    pacers sleep wakes them for the next multiple. A release downgrades
+    the message's timing tags to the pacer's frequency. Between ticks
+    nothing leaves, so the queue's observable emptiness carries at most one
+    bit per period.
     """
 
     phase = Phase.PACER
@@ -267,7 +335,7 @@ class Pacer(Entity):
             sim.emit(TraceKind.PACER_RELEASE, self.id, label=released.label,
                      msg=released.msg_id, queued=len(self.queue))
             sim.schedule(sim.now, self.downstream.handle, released)
-        sim.schedule(sim.now + self.period, self.handle)
+        self.rest(sim, any(peer.queue for peer in self.peers))
 
 
 def offer_demand(sim: Engine, monitor: Monitor, core: ComputeCore,
@@ -280,8 +348,13 @@ def offer_demand(sim: Engine, monitor: Monitor, core: ComputeCore,
     return monitor.send(sim, core, scheduler, core.clearance, f"demand@{sim.now}")
 
 
-class Scheduler(Entity):
-    """Base: ticks every tick, names a user, commands the core."""
+class Scheduler(Sleeper):
+    """Base: each tick names a user, or none, and commands the core.
+
+    It ticks while it names users and is its core's clock. The reservation
+    rotation names one every tick, so it never sleeps; a demand scheduler
+    that finds no work sleeps until ``Gateway.ingress`` wakes it.
+    """
 
     phase = Phase.SCHEDULER
 
@@ -291,6 +364,7 @@ class Scheduler(Entity):
         self.core = core
         self.monitor = monitor
         self.clearance = clearance
+        core.clock = self
 
     def decide(self, sim: Engine) -> Optional[str]:
         raise NotImplementedError
@@ -299,7 +373,7 @@ class Scheduler(Entity):
         user = self.decide(sim)
         if user is not None:
             self.send_control(sim, user)
-        sim.schedule(sim.now + 1, self.handle)
+        self.rest(sim, user is not None)
 
     def send_control(self, sim: Engine, user: str) -> None:
         """Tell the core whose slice this tick is; the control message
@@ -315,7 +389,9 @@ class ReservationScheduler(Scheduler):
     """Fixed rotation, blind to demand; empty label by construction.
 
     The rotation grants slices whether or not the user has work, so the
-    slice-owner sequence is a pure function of time.
+    slice-owner sequence is a pure function of time. It names a user every
+    tick and so never sleeps: that per-tick control is the model's evidence
+    that it is blind to demand.
     """
 
     def __init__(self, core: ComputeCore, monitor: Monitor,
@@ -331,8 +407,8 @@ class ReservationScheduler(Scheduler):
 
 class DemandScheduler(Scheduler):
     """Work-conserving: runs the first user in its fixed order with queued
-    work. Carries every user's content and timing taint, which is what
-    permits it to see demand at all."""
+    work, and sleeps once the core has none. Carries every user's content
+    and timing taint, which is what permits it to see demand at all."""
 
     def __init__(self, core: ComputeCore, monitor: Monitor,
                  order: Sequence[str]):

@@ -27,6 +27,7 @@ from .entities import (
     ReservationScheduler,
     Scheduler,
     check_bits,
+    group_peers,
     pacer_period,
 )
 from .kernel import ConfigError, Engine, Phase, TraceKind, TraceRecord
@@ -302,8 +303,11 @@ class ScenarioRun:
 
 
 def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
-    """Instantiate entities for a config and schedule the initial events
-    (arrivals, scheduler/core ticks, pacer clock)."""
+    """Instantiate entities for a config and schedule the initial events:
+    the arrivals and each clock's first tick, the scheduler's or the
+    private cores' at 0 and the pacers' at their first period. The private
+    cores form one group of sleepers and the pacers another, each in user
+    order (``entities.Sleeper``)."""
     engine = Engine()
     monitor = Monitor(cfg.monitor_mode)
 
@@ -319,7 +323,9 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
         for u in cfg.users:
             cores[u] = engine.add(ComputeCore(f"core_{u}", (u,), monitor, fixed_user=u))
             engine.schedule(0, cores[u].handle, u)
+        group_peers(cores.values())
 
+    pacers = []
     for u in cfg.users:
         gateways[u].core = cores[u]
         if cfg.pacer is None:
@@ -328,6 +334,8 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
             pacer = engine.add(Pacer(u, cfg.pacer, cfg.users, gateways[u]))
             cores[u].routes[u] = pacer
             engine.schedule(pacer.period, pacer.handle)
+            pacers.append(pacer)
+    group_peers(pacers)
 
     if cfg.scheduler is not None:
         shared = cores[cfg.users[0]]

@@ -12,15 +12,20 @@ pacer, releases and deliveries land on its grid with timing at most its
 frequency. Two runs give the same bytes, and without a demand scheduler
 the first user's gateway records do not change when every other user's
 jobs are drawn again.
+
+Sleeping clocks are checked against polling ones: a run in which every
+sleeper re-arms every tick, as the clocks did before they could sleep,
+gives the same records plus the demand offers that found no work.
 """
 
 import dataclasses
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import FREQ_POOL, oracle_flow_allowed
-from tifcsim.entities import JobSpec, pacer_period
+from tifcsim.entities import JobSpec, Sleeper, pacer_period
 from tifcsim.kernel import TraceKind, trace_to_jsonl
 from tifcsim.labels import INFINITY, Capability, Frequency, Label
 from tifcsim.scenarios import ScenarioConfig, SchedulerSpec, run_scenario
@@ -100,3 +105,37 @@ def test_random_topologies_keep_their_promises(cfg, data):
         jobs = [j for j in cfg.jobs if j.owner == first] + data.draw(jobs_of(others))
         redrawn = run_scenario(dataclasses.replace(cfg, jobs=tuple(jobs))).trace
         assert gateway_view(redrawn, first) == gateway_view(trace, first)
+
+
+def polling():
+    """Patch every sleeper to find itself busy, so each clock re-arms on
+    every one of its ticks and none ever sleeps."""
+    rest = Sleeper.rest
+    return mock.patch.object(Sleeper, "rest", lambda self, sim, busy: rest(self, sim, True))
+
+
+def is_demand_offer(record):
+    return record.detail.get("msg", "").startswith("demand@")
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs())
+def test_sleeping_clocks_drop_only_idle_demand_offers(cfg):
+    trace = run_scenario(cfg).trace
+    lines = [r.to_json() for r in trace]
+    with polling():
+        polled = run_scenario(cfg).trace
+    if not cfg.demand_scheduled:
+        assert lines == [r.to_json() for r in polled]
+        return
+    kept, dropped = 0, []
+    for r in polled:
+        if kept < len(lines) and r.to_json() == lines[kept]:
+            kept += 1
+        else:
+            dropped.append(r)
+    assert kept == len(lines)  # the run's records, in order, are the polled run's
+    assert all(is_demand_offer(r) for r in dropped)
+    named = {r.t for r in polled if r.detail.get("msg", "").startswith("ctl@")}
+    assert not named & {r.t for r in dropped}  # each dropped offer found no work
+    assert [r.t for r in trace if is_demand_offer(r)][:3] == [0, 0, 0]  # the first offer stays

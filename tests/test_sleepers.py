@@ -1,0 +1,100 @@
+"""Idle time is free: clocks sleep while there is no work.
+
+A demand scheduler, the private cores and the pacers stop re-arming once
+their group is idle and are woken when work arrives, so a run's cost and
+trace do not grow with idle ticks. The reservation scheduler is blind to
+demand and ticks every tick. ``test_random_workloads`` checks the traces
+against clocks that never sleep.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from tifcsim.entities import Gateway, Message, Pacer, pacer_period
+from tifcsim.kernel import Engine, TraceKind, trace_from_jsonl, trace_to_jsonl
+from tifcsim.labels import Frequency, Label
+from tifcsim.leakage import CovertExperiment, build_config
+from tifcsim.monitor import Monitor
+from tifcsim.scenarios import JobSpec, build_scenario, run_scenario, wire
+
+F15 = Frequency(1, 5)
+GOLDEN_STATMUX = Path(__file__).resolve().parent / "data" / "statmux.jsonl"
+
+
+def paced_trial():
+    exp = CovertExperiment(trials=1)
+    return build_config(exp, exp.message_for(exp.seed))
+
+
+CONFIGS = {
+    "dedicated": build_scenario("dedicated", freq=F15),
+    "statmux": build_scenario("statmux", freq=F15),
+    "paced_trial": paced_trial(),
+}
+
+
+def deliveries(trace):
+    return [r for r in trace if r.kind is TraceKind.MSG_RECV and r.entity.startswith("gw_")]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_idle_horizon_changes_nothing(name):
+    cfg = CONFIGS[name]
+    trace = run_scenario(cfg).trace
+    longer = run_scenario(dataclasses.replace(cfg, horizon=100 * cfg.horizon)).trace
+    assert trace_to_jsonl(longer) == trace_to_jsonl(trace)
+
+    # Every clock is asleep one step after the last delivery. A peer that
+    # fires before the last busy one in the same tick re-arms once more.
+    step = 1 if cfg.pacer is None else pacer_period(cfg.pacer)
+    engine, _ = wire(cfg)
+    engine.run_until(deliveries(trace)[-1].t + step)
+    assert engine._queue == []
+    assert trace_to_jsonl(engine.trace) == trace_to_jsonl(trace)
+
+
+def test_reservation_scheduler_ticks_every_tick():
+    cfg = build_scenario("reservation", horizon=50)
+    controls = [r.t for r in run_scenario(cfg).trace
+                if r.kind is TraceKind.MSG_SEND and r.detail["msg"].startswith("ctl@")]
+    assert controls == list(range(51))
+
+
+def test_golden_keeps_the_first_demand_offer():
+    trace = trace_from_jsonl(GOLDEN_STATMUX.read_text(encoding="utf-8"))
+    sched = [r for r in trace if "sched" in (r.entity, r.detail.get("to"))]
+    assert [(r.kind, r.entity, r.t, r.detail["msg"]) for r in sched[:3]] == [
+        (TraceKind.MSG_SEND, "core", 0, "demand@0"),
+        (TraceKind.MONITOR_ALLOW, "sched", 0, "demand@0"),
+        (TraceKind.MSG_RECV, "sched", 0, "demand@0"),
+    ]
+
+
+def test_arrival_wakes_the_demand_scheduler():
+    cfg = build_scenario("statmux", freq=F15, jobs=[JobSpec("A", 2, "1", 50)])
+    trace = run_scenario(cfg).trace
+    offers = [r.t for r in trace if r.kind is TraceKind.MSG_SEND
+              and r.detail["msg"].startswith("demand@")]
+    controls = [r.t for r in trace if r.kind is TraceKind.MSG_SEND
+                and r.detail["msg"].startswith("ctl@")]
+    # the first offer finds no work; the arrival wakes the scheduler, which
+    # offers once more after the job's last slice and then sleeps again
+    assert offers == [0, 50, 51, 52]
+    assert controls == [50, 51]
+    assert [r.t for r in deliveries(trace)] == [55]
+
+
+def test_a_woken_pacer_fires_on_its_next_multiple():
+    sim = Engine()
+    gw = sim.add(Gateway("A", Monitor()))
+    pacer = sim.add(Pacer("A", F15, ("A",), gw))
+    sim.schedule(pacer.period, pacer.handle)
+    sim.run_until(5)
+    assert pacer.asleep  # the first tick found nothing to release
+    pacer.queue.append(Message("r", Label.parse("{A/A:inf}"), "res_A0"))
+    pacer.wake(sim, pacer.next_tick(sim.now))  # after its own phase at t = 5
+    trace = sim.run_until(100)
+    assert [r.t for r in trace if r.kind is TraceKind.PACER_RELEASE] == [10]
+    assert pacer.asleep and sim._queue == []
