@@ -5,10 +5,11 @@ the event phases give a fixed interaction order: job arrivals land at
 gateways (``Gateway.ingress``), pacers fire, the scheduler decides, the core
 runs one timeslice, gateways deliver (``Gateway.handle``).
 
-Clocks advance to the next event, not tick by tick: a demand scheduler, a
-private core and a pacer are ``Sleeper``s, which stop re-arming once their
-group has no work and are woken when work arrives. Only the reservation
-scheduler, blind to demand, ticks every tick.
+Each group that ticks has one ``Clock``: the private cores, the pacers, and
+the scheduler as a group of one. A tick is one event that calls every
+member in wiring order. Clocks advance to the next event, not tick by tick:
+a clock sleeps once its members hold no work and is woken when work
+arrives. Only the reservation scheduler, blind to demand, ticks every tick.
 
 Cores execute jobs deterministically: a job's result payload is a pure
 function of its input bits, independent of when and how its slices were
@@ -22,7 +23,7 @@ import dataclasses
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Sequence, Union
+from typing import Deque, Dict, Optional, Sequence, Tuple, Union
 
 from .kernel import ConfigError, Engine, Entity, Phase, SimError, TraceKind
 from .labels import EMPTY_CAPS, INFINITY, CapabilitySet, Frequency, Label
@@ -100,57 +101,48 @@ class Message:
     msg_id: str
 
 
-class Sleeper(Entity):
-    """An entity whose clock stops while it and its peers are idle.
+class Clock(Entity):
+    """One clock for a group of entities in one phase.
 
-    The clock ticks on the multiples of ``period``, each tick a call of
-    ``handle`` with ``tick_args``. ``peers`` is the member's group in
-    wiring order: the entity alone, or every member given to
-    ``group_peers``. ``handle`` ends in ``rest``, which re-arms the
-    member's next tick while the group is busy and otherwise puts it to
-    sleep; ``wake`` re-arms every sleeping peer, in wiring order. Work
-    reaches a group only in another phase, so while its members tick its
-    work only shrinks: the members that re-arm are a prefix of the group,
-    and the sleepers a wake re-arms come after them. Same-tick events of a
-    group thus run in the order they would if every member ticked every
-    tick. A sleeper's idle tick writes no record but a
-    demand offer, so sleeping through idle ticks removes those offers from
-    the trace and nothing else.
+    It ticks on the multiples of ``period``, and each tick is one event
+    that calls every member's ``handle`` with that member's arguments, in
+    wiring order. ``members`` pairs each member with those arguments, and
+    the clock links each member back as its ``clock``. A ``handle``
+    returns whether its member still holds work: the clock re-arms for its
+    next tick while any member does, and otherwise sleeps until ``wake``.
+    An idle tick writes no record but a demand offer, so sleeping through
+    idle ticks removes those offers from the trace and nothing else.
     """
 
-    period = 1
-    tick_args: tuple = ()
-
-    def __init__(self, entity_id: str):
+    def __init__(self, entity_id: str, members: Sequence[Tuple[Entity, tuple]],
+                 period: int = 1):
         super().__init__(entity_id)
-        self.peers: Sequence[Sleeper] = (self,)
+        self.members = tuple(members)
+        self.phase = self.members[0][0].phase
+        self.period = period
         self.asleep = False
+        for member, _ in self.members:
+            member.clock = self
 
     def next_tick(self, now: int) -> int:
-        """The first tick of this member's clock after ``now``."""
+        """The first tick of this clock after ``now``."""
         return now - now % self.period + self.period
 
-    def rest(self, sim: Engine, busy: bool) -> None:
-        """End of a tick: re-arm for the next one while ``busy``, else sleep."""
+    def handle(self, sim: Engine) -> None:
+        busy = False
+        for member, args in self.members:
+            if member.handle(sim, *args):
+                busy = True
         if busy:
-            sim.schedule(self.next_tick(sim.now), self.handle, *self.tick_args)
+            sim.schedule(self.next_tick(sim.now), self.handle)
         else:
             self.asleep = True
 
     def wake(self, sim: Engine, time: int) -> None:
-        """Re-arm every sleeping peer at ``time``, in wiring order."""
-        for peer in self.peers:
-            if peer.asleep:
-                peer.asleep = False
-                sim.schedule(time, peer.handle, *peer.tick_args)
-
-
-def group_peers(sleepers: Sequence[Sleeper]) -> None:
-    """Make ``sleepers``, in wiring order, one group that sleeps and wakes
-    together."""
-    peers = tuple(sleepers)
-    for sleeper in peers:
-        sleeper.peers = peers
+        """Re-arm this clock at ``time`` if it sleeps."""
+        if self.asleep:
+            self.asleep = False
+            sim.schedule(time, self.handle)
 
 
 class Gateway(Entity):
@@ -197,15 +189,15 @@ class Gateway(Entity):
         )
 
 
-class ComputeCore(Sleeper):
+class ComputeCore(Entity):
     """A core with isolated per-customer job queues ("slots").
 
-    Runs at most one job slice per tick: its own fixed user when private,
+    Runs at most one job slice per tick: its own user's when private,
     otherwise whichever user the scheduler's control message named for the
     current tick. Control messages are timing-only: they taint every live
-    job's timing, never its content. ``clock`` is the sleeper whose ticks
-    run its slices, which an arriving job wakes: the core itself when
-    private, its scheduler when shared.
+    job's timing, never its content. ``clock`` is the clock whose ticks
+    run its slices, which an arriving job wakes: the private cores' clock,
+    or the scheduler's when shared.
 
     Each job is tainted once. A slot changes only by ``append`` (a job
     arrives) and ``popleft`` (a job completes), so the jobs already joined
@@ -216,20 +208,12 @@ class ComputeCore(Sleeper):
     """
 
     phase = Phase.CORE
+    clock: Clock
 
-    def __init__(
-        self,
-        entity_id: str,
-        users: Sequence[str],
-        monitor: Monitor,
-        fixed_user: Optional[str] = None,
-    ):
+    def __init__(self, entity_id: str, users: Sequence[str], monitor: Monitor):
         super().__init__(entity_id)
         self.users = tuple(users)
         self.monitor = monitor
-        self.fixed_user = fixed_user
-        self.tick_args = (fixed_user,)
-        self.clock: Sleeper = self
         self.slots: Dict[str, Deque[Job]] = {u: deque() for u in self.users}
         # Demand derives from every user's jobs: the core's full label.
         self.clearance = Label(self.users, {u: INFINITY for u in self.users})
@@ -254,13 +238,11 @@ class ComputeCore(Sleeper):
                              job=job.job_id, owner=job.owner)
             self._tainted[user] = len(queue)
 
-    def handle(self, sim: Engine, user: str) -> None:
-        """Run one slice of ``user``'s work. A private core then re-arms
-        its own slice for the next tick while it or a peer holds a job,
-        and otherwise sleeps until a job arrives."""
+    def handle(self, sim: Engine, user: str) -> bool:
+        """Run one slice of ``user``'s work; whether ``user`` still has a
+        job queued, which keeps the private cores' clock ticking."""
         self.run_slice(sim, user)
-        if self.fixed_user is not None:
-            self.rest(sim, any(peer.slots[peer.fixed_user] for peer in self.peers))
+        return bool(self.slots[user])
 
     def run_slice(self, sim: Engine, user: str) -> None:
         if user not in self.slots:
@@ -291,7 +273,7 @@ class ComputeCore(Sleeper):
             if self.monitor.send(sim, self, target, msg.label, msg.msg_id,
                                  received={"queued": len(target.queue) + 1}).allowed:
                 target.queue.append(msg)
-                target.wake(sim, target.next_tick(sim.now))
+                target.clock.wake(sim, target.clock.next_tick(sim.now))
         else:
             # Gateway route: the egress decision is the guard.
             sim.emit(TraceKind.MSG_SEND, self.id, label=msg.label,
@@ -299,18 +281,19 @@ class ComputeCore(Sleeper):
             sim.schedule(sim.now, target.handle, msg)
 
 
-class Pacer(Sleeper):
+class Pacer(Entity):
     """FIFO queue whose output releases at most one message per clock tick.
 
-    The clock ticks on positive multiples of the period, and only while
-    this or a peer pacer holds a message; a message queued while the
-    pacers sleep wakes them for the next multiple. A release downgrades
-    the message's timing tags to the pacer's frequency. Between ticks
-    nothing leaves, so the queue's observable emptiness carries at most one
-    bit per period.
+    The pacers share one clock, which ticks on positive multiples of the
+    period ``pacer_period(freq)``, and only while a pacer holds a message;
+    a message queued while it sleeps wakes it for the next multiple. A
+    release downgrades the message's timing tags to the pacer's frequency.
+    Between ticks nothing leaves, so the queue's observable emptiness
+    carries at most one bit per period.
     """
 
     phase = Phase.PACER
+    clock: Clock
 
     def __init__(
         self,
@@ -320,22 +303,22 @@ class Pacer(Sleeper):
         downstream: Gateway,
     ):
         super().__init__(f"pacer_{owner}")
+        pacer_period(freq)  # rejects a frequency that is not 1/k
         self.freq = freq
-        self.period = pacer_period(freq)
         self.downstream = downstream
         self.clearance = Label((owner,), {u: INFINITY for u in users})
         self.queue: Deque[Message] = deque()
 
-    def handle(self, sim: Engine) -> None:
+    def handle(self, sim: Engine) -> bool:
         """On each clock tick, release the head message, if any, with
-        downgraded timing tags."""
+        downgraded timing tags; whether a message is still queued."""
         if self.queue:
             msg = self.queue.popleft()
             released = dataclasses.replace(msg, label=msg.label.pace_down(self.freq))
             sim.emit(TraceKind.PACER_RELEASE, self.id, label=released.label,
                      msg=released.msg_id, queued=len(self.queue))
             sim.schedule(sim.now, self.downstream.handle, released)
-        self.rest(sim, any(peer.queue for peer in self.peers))
+        return bool(self.queue)
 
 
 def offer_demand(sim: Engine, monitor: Monitor, core: ComputeCore,
@@ -348,12 +331,13 @@ def offer_demand(sim: Engine, monitor: Monitor, core: ComputeCore,
     return monitor.send(sim, core, scheduler, core.clearance, f"demand@{sim.now}")
 
 
-class Scheduler(Sleeper):
+class Scheduler(Entity):
     """Base: each tick names a user, or none, and commands the core.
 
-    It ticks while it names users and is its core's clock. The reservation
-    rotation names one every tick, so it never sleeps; a demand scheduler
-    that finds no work sleeps until ``Gateway.ingress`` wakes it.
+    Its clock, a group of one, is also its core's clock, and ticks while it
+    names users. The reservation rotation names one every tick, so it never
+    sleeps; a demand scheduler that finds no work sleeps until
+    ``Gateway.ingress`` wakes it.
     """
 
     phase = Phase.SCHEDULER
@@ -364,16 +348,16 @@ class Scheduler(Sleeper):
         self.core = core
         self.monitor = monitor
         self.clearance = clearance
-        core.clock = self
 
     def decide(self, sim: Engine) -> Optional[str]:
         raise NotImplementedError
 
-    def handle(self, sim: Engine) -> None:
+    def handle(self, sim: Engine) -> bool:
+        """Name this tick's user, if any, to the core; whether one was named."""
         user = self.decide(sim)
         if user is not None:
             self.send_control(sim, user)
-        self.rest(sim, user is not None)
+        return user is not None
 
     def send_control(self, sim: Engine, user: str) -> None:
         """Tell the core whose slice this tick is; the control message

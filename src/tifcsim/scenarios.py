@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .entities import (
+    Clock,
     ComputeCore,
     DemandScheduler,
     Gateway,
@@ -27,7 +28,6 @@ from .entities import (
     ReservationScheduler,
     Scheduler,
     check_bits,
-    group_peers,
     pacer_period,
 )
 from .kernel import ConfigError, Engine, Phase, TraceKind, TraceRecord
@@ -306,8 +306,9 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
     """Instantiate entities for a config and schedule the initial events:
     the arrivals and each clock's first tick, the scheduler's or the
     private cores' at 0 and the pacers' at their first period. The private
-    cores form one group of sleepers and the pacers another, each in user
-    order (``entities.Sleeper``)."""
+    cores share one ``entities.Clock`` and the pacers another, each calling
+    its members in user order; a shared core runs on its scheduler's
+    clock."""
     engine = Engine()
     monitor = Monitor(cfg.monitor_mode)
 
@@ -316,35 +317,29 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
         for u in cfg.users
     }
 
-    cores: Dict[str, ComputeCore] = {}
-    if cfg.cores == "shared":
-        cores = dict.fromkeys(cfg.users, engine.add(ComputeCore("core", cfg.users, monitor)))
+    if cfg.scheduler is None:
+        cores = {u: engine.add(ComputeCore(f"core_{u}", (u,), monitor)) for u in cfg.users}
+        clock = engine.add(Clock("clock_cores", [(cores[u], (u,)) for u in cfg.users]))
     else:
-        for u in cfg.users:
-            cores[u] = engine.add(ComputeCore(f"core_{u}", (u,), monitor, fixed_user=u))
-            engine.schedule(0, cores[u].handle, u)
-        group_peers(cores.values())
-
-    pacers = []
-    for u in cfg.users:
-        gateways[u].core = cores[u]
-        if cfg.pacer is None:
-            cores[u].routes[u] = gateways[u]
-        else:
-            pacer = engine.add(Pacer(u, cfg.pacer, cfg.users, gateways[u]))
-            cores[u].routes[u] = pacer
-            engine.schedule(pacer.period, pacer.handle)
-            pacers.append(pacer)
-    group_peers(pacers)
-
-    if cfg.scheduler is not None:
-        shared = cores[cfg.users[0]]
+        shared = engine.add(ComputeCore("core", cfg.users, monitor))
+        cores = dict.fromkeys(cfg.users, shared)
         if cfg.scheduler.kind == "reservation":
             sched: Scheduler = ReservationScheduler(shared, monitor, cfg.scheduler.users)
         else:
             sched = DemandScheduler(shared, monitor, cfg.scheduler.users)
-        engine.add(sched)
-        engine.schedule(0, sched.handle)
+        clock = engine.add(Clock("clock_sched", [(engine.add(sched), ())]))
+        shared.clock = clock  # an arrival at the shared core wakes its scheduler
+    engine.schedule(0, clock.handle)
+
+    pacers: Dict[str, Pacer] = {}
+    if cfg.pacer is not None:
+        pacers = {u: engine.add(Pacer(u, cfg.pacer, cfg.users, gateways[u])) for u in cfg.users}
+        pacing = engine.add(Clock("clock_pacers", [(p, ()) for p in pacers.values()],
+                                  pacer_period(cfg.pacer)))
+        engine.schedule(pacing.period, pacing.handle)
+    for u in cfg.users:
+        gateways[u].core = cores[u]
+        cores[u].routes[u] = pacers.get(u, gateways[u])
 
     counters = {u: 0 for u in cfg.users}
     for spec in cfg.jobs:

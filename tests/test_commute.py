@@ -2,16 +2,20 @@
 
 The engine runs events in ``(time, phase, seq)`` order, and ``seq`` is
 scheduling order, so the order among same-phase events on distinct
-entities (two gateways, two pacers, two private cores) is an accident of
-how ``wire`` was written. ``InterleavingEngine`` dispatches each
-``(time, phase)`` batch in another order: the events of distinct entities
-interleaved as an injected random source decides, each entity's own events
-in FIFO order. Every gateway must then see the same records in the same
-order, every entity the same multiset of records, and every leakage report
-must be unchanged. Only the order of one entity's records from distinct
-senders may move: same-tick job receipts from two gateways at a shared core.
+entities (two gateways, two job arrivals) is an accident of how ``wire``
+was written, and so is the wiring order in which one clock's tick calls its
+members (two pacers, two private cores). ``InterleavingEngine`` dispatches
+each ``(time, phase)`` batch in another order: the events of distinct
+entities interleaved as an injected random source decides, each entity's
+own events in FIFO order. The same source shuffles each clock's members
+before each of its ticks. Every gateway must then see the same records in
+the same order, every entity the same multiset of records, and every
+leakage report must be unchanged. Only the order of one entity's records
+from distinct senders may move: same-tick job receipts from two gateways at
+a shared core.
 """
 
+import contextlib
 import functools
 import heapq
 from collections import Counter, deque
@@ -20,7 +24,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tifcsim.entities import JobSpec
+from tifcsim.entities import Clock, JobSpec
 from tifcsim.kernel import Engine
 from tifcsim.labels import Frequency
 from tifcsim.leakage import MESSAGE_BITS, CovertExperiment, measure, straddle_experiment
@@ -55,9 +59,21 @@ class InterleavingEngine(Engine):
         return self.trace
 
 
+@contextlib.contextmanager
 def interleaved(rng):
-    """Patch every scenario run, leakage trials included, onto ``rng``."""
-    return mock.patch("tifcsim.scenarios.Engine", lambda: InterleavingEngine(rng))
+    """Patch every scenario run, leakage trials included, onto ``rng``:
+    its engine's batches and its clocks' member orders."""
+    handle = Clock.handle
+
+    def shuffled(clock, sim):
+        members = list(clock.members)
+        rng.shuffle(members)
+        clock.members = tuple(members)
+        handle(clock, sim)
+
+    with mock.patch("tifcsim.scenarios.Engine", lambda: InterleavingEngine(rng)), \
+            mock.patch.object(Clock, "handle", shuffled):
+        yield
 
 
 def by_entity(trace):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tifcsim.entities import (
+    Clock,
     ComputeCore,
     Gateway,
     Job,
@@ -15,6 +16,7 @@ from tifcsim.entities import (
     Scheduler,
     check_process_label,
     offer_demand,
+    pacer_period,
     result_payload,
 )
 from tifcsim.kernel import ConfigError, Engine, SimError, TraceKind, trace_to_jsonl
@@ -36,10 +38,13 @@ def denials(trace):
     return [r for r in trace if r.kind is TraceKind.MONITOR_DENY]
 
 
-def make_core(users=("A",), fixed=None):
+def make_core(users=("A",)):
     sim = Engine()
     monitor = Monitor()
-    core = sim.add(ComputeCore("core", users, monitor, fixed_user=fixed))
+    core = sim.add(ComputeCore("core", users, monitor))
+    # Awake but never armed: an arrival wakes nothing, and each test runs
+    # the core's slices itself.
+    sim.add(Clock("clock", [(core, (users[0],))]))
     gws = {}
     for u in users:
         gw = sim.add(Gateway(u, monitor))
@@ -230,7 +235,8 @@ def make_pacer(freq=F15):
     monitor = Monitor()
     gw = sim.add(Gateway("A", monitor, CapabilitySet([Capability("B", freq)])))
     pacer = sim.add(Pacer("A", freq, ("A", "B"), gw))
-    sim.schedule(pacer.period, pacer.handle)
+    clock = sim.add(Clock("clock", [(pacer, ())], pacer_period(freq)))
+    sim.schedule(clock.period, clock.handle)
     return sim, pacer, gw
 
 
@@ -241,6 +247,7 @@ def msg(jid, label):
 def test_core_result_enters_pacer_through_checked_send():
     sim, monitor, core, gws = make_core(users=("A", "B"))
     pacer = sim.add(Pacer("A", F15, ("A", "B"), gws["A"]))
+    sim.add(Clock("pacing", [(pacer, ())], 5))  # awake but never armed
     core.routes["A"] = pacer
     pacer.queue.append(msg("X0", A_LABEL))
     core.slots["A"].append(job(work=1))
@@ -287,7 +294,7 @@ def test_pacer_release_times_on_phase_grid():
     trace = sim.run_until(40)
     ticks = [r.t for r in trace if r.kind is TraceKind.PACER_RELEASE]
     assert ticks == [3, 6, 9, 12]
-    assert all(t % pacer.period == 0 for t in ticks)
+    assert all(t % pacer.clock.period == 0 for t in ticks)
 
 
 def test_pacer_frequency_must_be_reciprocal_ticks():
@@ -297,7 +304,7 @@ def test_pacer_frequency_must_be_reciprocal_ticks():
     for bad in (Frequency(2, 3), Frequency(2), INFINITY, Frequency(0)):
         with pytest.raises(ConfigError):
             Pacer("A", bad, ("A",), gw)
-    assert Pacer("A", Frequency(1), ("A",), gw).period == 1
+    assert pacer_period(Pacer("A", Frequency(1), ("A",), gw).freq) == 1
 
 
 # -- gateway --------------------------------------------------------------------------

@@ -14,10 +14,13 @@ the first user's gateway records do not change when every other user's
 jobs are drawn again.
 
 Sleeping clocks are checked against polling ones: a run in which every
-sleeper re-arms every tick, as the clocks did before they could sleep,
-gives the same records plus the demand offers that found no work.
+clock re-arms on every one of its ticks, as the clocks did before they
+could sleep, gives the same records plus the demand offers that found no
+work. And a run forked with ``copy.deepcopy`` at any tick finishes as a
+fresh run does, without sharing state with the run it was forked from.
 """
 
+import copy
 import dataclasses
 from unittest import mock
 
@@ -25,10 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import FREQ_POOL, oracle_flow_allowed
-from tifcsim.entities import JobSpec, Sleeper, pacer_period
+from tifcsim.entities import Clock, JobSpec, pacer_period
 from tifcsim.kernel import TraceKind, trace_to_jsonl
 from tifcsim.labels import INFINITY, Capability, Frequency, Label
-from tifcsim.scenarios import ScenarioConfig, SchedulerSpec, run_scenario
+from tifcsim.scenarios import ScenarioConfig, SchedulerSpec, run_scenario, wire
 
 HORIZON = 40
 # The records of a gateway's egress decision, all at the delivery tick.
@@ -108,10 +111,15 @@ def test_random_topologies_keep_their_promises(cfg, data):
 
 
 def polling():
-    """Patch every sleeper to find itself busy, so each clock re-arms on
-    every one of its ticks and none ever sleeps."""
-    rest = Sleeper.rest
-    return mock.patch.object(Sleeper, "rest", lambda self, sim, busy: rest(self, sim, True))
+    """Patch every clock to wake itself for its next tick whenever a tick
+    put it to sleep, so each clock re-arms on every one of its ticks."""
+    handle = Clock.handle
+
+    def tick(self, sim):
+        handle(self, sim)
+        self.wake(sim, self.next_tick(sim.now))
+
+    return mock.patch.object(Clock, "handle", tick)
 
 
 def is_demand_offer(record):
@@ -139,3 +147,17 @@ def test_sleeping_clocks_drop_only_idle_demand_offers(cfg):
     named = {r.t for r in polled if r.detail.get("msg", "").startswith("ctl@")}
     assert not named & {r.t for r in dropped}  # each dropped offer found no work
     assert [r.t for r in trace if is_demand_offer(r)][:3] == [0, 0, 0]  # the first offer stays
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs(), fork_at=st.integers(0, HORIZON))
+def test_a_forked_run_finishes_like_a_fresh_one(cfg, fork_at):
+    fresh = trace_to_jsonl(run_scenario(cfg).trace)
+    engine, _ = wire(cfg)
+    prefix = trace_to_jsonl(engine.run_until(fork_at))
+    fork = copy.deepcopy(engine)
+    # The original finishes first: a fork sharing its queue, clocks, slots
+    # or trace would find them already advanced.
+    assert trace_to_jsonl(engine.run_until(cfg.horizon)) == fresh
+    assert trace_to_jsonl(fork.trace) == prefix
+    assert trace_to_jsonl(fork.run_until(cfg.horizon)) == fresh

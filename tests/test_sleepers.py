@@ -1,10 +1,11 @@
 """Idle time is free: clocks sleep while there is no work.
 
-A demand scheduler, the private cores and the pacers stop re-arming once
-their group is idle and are woken when work arrives, so a run's cost and
-trace do not grow with idle ticks. The reservation scheduler is blind to
-demand and ticks every tick. ``test_random_workloads`` checks the traces
-against clocks that never sleep.
+The clock of a demand scheduler, of the private cores and of the pacers
+stops re-arming on the tick its group's work ends and is woken when work
+arrives, so a run's cost and trace do not grow with idle ticks. The
+reservation scheduler is blind to demand and ticks every tick.
+``test_random_workloads`` checks the traces against clocks that never
+sleep.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tifcsim.entities import Gateway, Message, Pacer, pacer_period
+from tifcsim.entities import Clock, Gateway, Message, Pacer
 from tifcsim.kernel import Engine, TraceKind, trace_from_jsonl, trace_to_jsonl
 from tifcsim.labels import Frequency, Label
 from tifcsim.leakage import CovertExperiment, build_config
@@ -46,11 +47,9 @@ def test_idle_horizon_changes_nothing(name):
     longer = run_scenario(dataclasses.replace(cfg, horizon=100 * cfg.horizon)).trace
     assert trace_to_jsonl(longer) == trace_to_jsonl(trace)
 
-    # Every clock is asleep one step after the last delivery. A peer that
-    # fires before the last busy one in the same tick re-arms once more.
-    step = 1 if cfg.pacer is None else pacer_period(cfg.pacer)
+    # Every clock is asleep once the last delivery's tick has run.
     engine, _ = wire(cfg)
-    engine.run_until(deliveries(trace)[-1].t + step)
+    engine.run_until(deliveries(trace)[-1].t)
     assert engine._queue == []
     assert trace_to_jsonl(engine.trace) == trace_to_jsonl(trace)
 
@@ -90,11 +89,12 @@ def test_a_woken_pacer_fires_on_its_next_multiple():
     sim = Engine()
     gw = sim.add(Gateway("A", Monitor()))
     pacer = sim.add(Pacer("A", F15, ("A",), gw))
-    sim.schedule(pacer.period, pacer.handle)
+    clock = sim.add(Clock("clock", [(pacer, ())], 5))
+    sim.schedule(clock.period, clock.handle)
     sim.run_until(5)
-    assert pacer.asleep  # the first tick found nothing to release
+    assert clock.asleep  # the first tick found nothing to release
     pacer.queue.append(Message("r", Label.parse("{A/A:inf}"), "res_A0"))
-    pacer.wake(sim, pacer.next_tick(sim.now))  # after its own phase at t = 5
+    clock.wake(sim, clock.next_tick(sim.now))  # after its own phase at t = 5
     trace = sim.run_until(100)
     assert [r.t for r in trace if r.kind is TraceKind.PACER_RELEASE] == [10]
-    assert pacer.asleep and sim._queue == []
+    assert clock.asleep and sim._queue == []

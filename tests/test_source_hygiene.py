@@ -15,7 +15,8 @@ its writer never produces. Outside ``monitor.py``, every ``.emit(...)``
 call names its kind as a literal ``TraceKind.<member>`` other than
 ``MSG_RECV``, ``MONITOR_ALLOW`` and ``MONITOR_DENY``: the monitor writes
 every decision and the delivery it allows, so nothing is delivered that it
-did not allow.
+did not allow. No method outside ``Clock`` schedules ``self.handle``: only a
+clock re-arms a tick, so whether a group sleeps is decided in one place.
 """
 
 import ast
@@ -166,6 +167,31 @@ def unmediated_emits(source: str) -> list:
     return found
 
 
+def self_rearms(source: str) -> list:
+    """Each method of a class other than ``Clock`` that passes
+    ``self.handle`` to a ``.schedule(...)`` call."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or cls.name == "Clock":
+            continue
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(method):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "schedule"
+                        and any(isinstance(arg, ast.Attribute) and arg.attr == "handle"
+                                and isinstance(arg.value, ast.Name) and arg.value.id == "self"
+                                for arg in node.args)):
+                    found.append(f"line {node.lineno}: {cls.name}.{method.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_a_clock_rearms_a_tick(path):
+    assert self_rearms(path.read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "monitor.py"],
                          ids=lambda p: p.name)
 def test_only_the_monitor_records_decisions_and_deliveries(path):
@@ -265,3 +291,19 @@ def test_emit_checker_flags_unmediated_records():
                "    emit(TraceKind.MONITOR_ALLOW, 'x')\n")
     assert unmediated_emits(planted) == [
         "line 3: TraceKind.MSG_RECV", "line 4: kind is not a TraceKind literal"]
+
+
+def test_rearm_checker_flags_a_member_scheduling_its_own_tick():
+    planted = ("class Clock(Entity):\n"
+               "    def handle(self, sim):\n"
+               "        sim.schedule(sim.now + 1, self.handle)\n"
+               "class Sleeper(Entity):\n"
+               "    def rest(self, sim, busy):\n"
+               "        if busy:\n"
+               "            sim.schedule(sim.now + 1, self.handle, *self.tick_args)\n"
+               "class Pacer(Entity):\n"
+               "    def handle(self, sim):\n"
+               "        sim.schedule(sim.now, self.downstream.handle, 'm')\n"
+               "def wire(engine, clock):\n"
+               "    engine.schedule(0, clock.handle)\n")
+    assert self_rearms(planted) == ["line 7: Sleeper.rest"]
