@@ -9,7 +9,7 @@ Each group that ticks has one ``Clock``: the private cores, the pacers, and
 the scheduler as a group of one. A tick is one event that calls every
 member in wiring order. Clocks advance to the next event, not tick by tick:
 a clock sleeps once its members hold no work and is woken when work
-arrives. Only the reservation scheduler, blind to demand, ticks every tick.
+arrives.
 
 Cores execute jobs deterministically: a job's result payload is a pure
 function of its input bits, independent of when and how its slices were
@@ -110,8 +110,9 @@ class Clock(Entity):
     the clock links each member back as its ``clock``. A ``handle``
     returns whether its member still holds work: the clock re-arms for its
     next tick while any member does, and otherwise sleeps until ``wake``.
-    An idle tick writes no record but a demand offer, so sleeping through
-    idle ticks removes those offers from the trace and nothing else.
+    An idle tick writes no record but a demand offer or a reservation
+    control message, so sleeping through idle ticks removes those from the
+    trace and nothing else.
     """
 
     def __init__(self, entity_id: str, members: Sequence[Tuple[Entity, tuple]],
@@ -334,10 +335,10 @@ def offer_demand(sim: Engine, monitor: Monitor, core: ComputeCore,
 class Scheduler(Entity):
     """Base: each tick names a user, or none, and commands the core.
 
-    Its clock, a group of one, is also its core's clock, and ticks while it
-    names users. The reservation rotation names one every tick, so it never
-    sleeps; a demand scheduler that finds no work sleeps until
-    ``Gateway.ingress`` wakes it.
+    Its clock, a group of one, is also its core's clock, and ticks while
+    the core holds a job. The scheduler's phase runs before the core's, so
+    the tick after the last job's final slice still fires, finds the slots
+    empty and puts the clock to sleep until ``Gateway.ingress`` wakes it.
     """
 
     phase = Phase.SCHEDULER
@@ -353,11 +354,12 @@ class Scheduler(Entity):
         raise NotImplementedError
 
     def handle(self, sim: Engine) -> bool:
-        """Name this tick's user, if any, to the core; whether one was named."""
+        """Name this tick's user, if any, to the core; whether one was
+        named while the core still holds a job."""
         user = self.decide(sim)
         if user is not None:
             self.send_control(sim, user)
-        return user is not None
+        return user is not None and any(self.core.slots.values())
 
     def send_control(self, sim: Engine, user: str) -> None:
         """Tell the core whose slice this tick is; the control message
@@ -372,17 +374,16 @@ class Scheduler(Entity):
 class ReservationScheduler(Scheduler):
     """Fixed rotation, blind to demand; empty label by construction.
 
-    The rotation grants slices whether or not the user has work, so the
-    slice-owner sequence is a pure function of time. It names a user every
-    tick and so never sleeps: that per-tick control is the model's evidence
-    that it is blind to demand.
+    The rotation grants slices whether or not the user has work:
+    ``decide`` reads only the time, so the user named at any tick is
+    ``rotation[t % n]``. Its clock sleeps while the core is idle, where a
+    control message would carry the empty label to no job and run no
+    slice, so sleeping drops only those idle ``ctl@t`` records.
     """
 
     def __init__(self, core: ComputeCore, monitor: Monitor,
                  rotation: Sequence[str]):
         super().__init__("sched", core, monitor, Label())
-        if not rotation:
-            raise ConfigError("reservation rotation must be non-empty")
         self.rotation = tuple(rotation)
 
     def decide(self, sim: Engine) -> Optional[str]:
@@ -397,8 +398,6 @@ class DemandScheduler(Scheduler):
     def __init__(self, core: ComputeCore, monitor: Monitor,
                  order: Sequence[str]):
         super().__init__("sched", core, monitor, core.clearance)
-        if not order:
-            raise ConfigError("scheduler order must be non-empty")
         self.order = tuple(order)
 
     def decide(self, sim: Engine) -> Optional[str]:

@@ -15,20 +15,27 @@ jobs are drawn again.
 
 Sleeping clocks are checked against polling ones: a run in which every
 clock re-arms on every one of its ticks, as the clocks did before they
-could sleep, gives the same records plus the demand offers that found no
-work. And a run forked with ``copy.deepcopy`` at any tick finishes as a
-fresh run does, without sharing state with the run it was forked from.
+could sleep, gives the same records plus the scheduler's demand offers and
+control messages at ticks when its core held no job and had held none the
+tick before. And a run forked with ``copy.deepcopy`` at any tick finishes
+as a fresh run does, without sharing state with the run it was forked from.
+
+The reservation scheduler is blind to demand: every control message it
+sends at tick t names ``rotation[t % n]``, whatever the workload. A
+scheduler that skips users with empty slots breaks that property, and
+``test_a_rotation_that_skips_empty_slots_is_caught`` keeps it caught.
 """
 
 import copy
 import dataclasses
 from unittest import mock
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from reference import FREQ_POOL, oracle_flow_allowed
-from tifcsim.entities import Clock, JobSpec, pacer_period
+from tifcsim.entities import Clock, JobSpec, ReservationScheduler, pacer_period
 from tifcsim.kernel import TraceKind, trace_to_jsonl
 from tifcsim.labels import INFINITY, Capability, Frequency, Label
 from tifcsim.scenarios import ScenarioConfig, SchedulerSpec, run_scenario, wire
@@ -46,9 +53,9 @@ def jobs_of(owners):
 
 
 @st.composite
-def configs(draw):
+def configs(draw, kinds=("private", "reservation", "demand")):
     users = tuple("ABCD"[:draw(st.integers(2, 4))])
-    kind = draw(st.sampled_from(("private", "reservation", "demand")))
+    kind = draw(st.sampled_from(kinds))
     scheduler = None if kind == "private" else SchedulerSpec(
         kind, tuple(draw(st.permutations(users))))
     pacer = draw(st.none() | st.builds(Frequency, st.just(1), st.integers(1, 5)))
@@ -122,31 +129,71 @@ def polling():
     return mock.patch.object(Clock, "handle", tick)
 
 
-def is_demand_offer(record):
-    return record.detail.get("msg", "").startswith("demand@")
+def is_scheduler_message(record):
+    """A record of a demand offer or a control message."""
+    return record.detail.get("msg", "").startswith(("demand@", "ctl@"))
+
+
+def held_ticks(trace):
+    """The ticks at whose scheduler phase a core held a job: from each
+    job's arrival to the tick of its last slice, or to the horizon."""
+    done = {r.detail["job"]: r.t for r in trace if r.kind is TraceKind.JOB_COMPLETE}
+    return {t for r in trace if r.kind is TraceKind.JOB_ARRIVE
+            for t in range(r.t, done.get(r.detail["job"], HORIZON) + 1)}
 
 
 @settings(max_examples=100, deadline=None)
 @given(cfg=configs())
-def test_sleeping_clocks_drop_only_idle_demand_offers(cfg):
+def test_sleeping_clocks_drop_only_idle_scheduler_ticks(cfg):
     trace = run_scenario(cfg).trace
     lines = [r.to_json() for r in trace]
     with polling():
         polled = run_scenario(cfg).trace
-    if not cfg.demand_scheduled:
-        assert lines == [r.to_json() for r in polled]
-        return
     kept, dropped = 0, []
     for r in polled:
         if kept < len(lines) and r.to_json() == lines[kept]:
             kept += 1
         else:
-            dropped.append(r)
+            dropped.append(r.to_json())
     assert kept == len(lines)  # the run's records, in order, are the polled run's
-    assert all(is_demand_offer(r) for r in dropped)
-    named = {r.t for r in polled if r.detail.get("msg", "").startswith("ctl@")}
-    assert not named & {r.t for r in dropped}  # each dropped offer found no work
-    assert [r.t for r in trace if is_demand_offer(r)][:3] == [0, 0, 0]  # the first offer stays
+    # What is dropped is exactly the scheduler's messages at the ticks when
+    # its core held no job and had held none the tick before; t = 0 stays.
+    held = held_ticks(polled)
+    assert dropped == [r.to_json() for r in polled if is_scheduler_message(r)
+                       and r.t > 0 and not {r.t - 1, r.t} & held]
+    if cfg.scheduler is not None:
+        assert [r.t for r in trace if is_scheduler_message(r)][:3] == [0, 0, 0]
+
+
+def controls_follow_the_rotation(cfg):
+    rotation = cfg.scheduler.users
+    for r in run_scenario(cfg).trace:
+        if r.kind is TraceKind.MSG_SEND and r.detail["msg"].startswith("ctl@"):
+            assert r.detail["user"] == rotation[r.t % len(rotation)], r
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs(kinds=("reservation",)))
+def test_reservation_controls_follow_the_rotation(cfg):
+    controls_follow_the_rotation(cfg)
+
+
+def skip_empty_slots(self, sim):
+    """A planted fault: the first user with queued work from the rotation's
+    place at this tick on, which reads demand."""
+    n = len(self.rotation)
+    turn = [self.rotation[(sim.now + i) % n] for i in range(n)]
+    return next((u for u in turn if self.core.slots[u]), turn[0])
+
+
+def test_a_rotation_that_skips_empty_slots_is_caught():
+    # Reproducible and cheap: fixed examples, no database, no shrinking.
+    check = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                     phases=(Phase.explicit, Phase.generate))(
+        given(cfg=configs(kinds=("reservation",)))(controls_follow_the_rotation))
+    with mock.patch.object(ReservationScheduler, "decide", skip_empty_slots):
+        with pytest.raises(AssertionError):
+            check()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,11 +1,11 @@
 """Idle time is free: clocks sleep while there is no work.
 
-The clock of a demand scheduler, of the private cores and of the pacers
-stops re-arming on the tick its group's work ends and is woken when work
-arrives, so a run's cost and trace do not grow with idle ticks. The
-reservation scheduler is blind to demand and ticks every tick.
-``test_random_workloads`` checks the traces against clocks that never
-sleep.
+Every clock, the schedulers', the private cores' and the pacers', stops
+re-arming once its group's work ends and is woken when work arrives, so a
+run's cost and trace do not grow with idle ticks. A scheduler's clock
+ticks once more after its core's last slice: the scheduler's phase runs
+before the core's, so it still sees that last job. ``test_random_workloads``
+checks the traces against clocks that never sleep.
 """
 
 import dataclasses
@@ -33,6 +33,7 @@ CONFIGS = {
     "dedicated": build_scenario("dedicated", freq=F15),
     "statmux": build_scenario("statmux", freq=F15),
     "paced_trial": paced_trial(),
+    "reservation": build_scenario("reservation", freq=F15),
 }
 
 
@@ -49,16 +50,28 @@ def test_idle_horizon_changes_nothing(name):
 
     # Every clock is asleep once the last delivery's tick has run.
     engine, _ = wire(cfg)
-    engine.run_until(deliveries(trace)[-1].t)
+    last = deliveries(trace)[-1].t
+    engine.run_until(last)
+    if name == "reservation":
+        # Unpaced, the last delivery is at the core's last slice, and the
+        # scheduler's clock ticks once more after it.
+        clock = engine.entity("clock_sched")
+        assert [(t, handler) for t, _, _, handler, _ in engine._queue] == [
+            (last + 1, clock.handle)]
+        engine.run_until(last + 1)
     assert engine._queue == []
     assert trace_to_jsonl(engine.trace) == trace_to_jsonl(trace)
 
 
-def test_reservation_scheduler_ticks_every_tick():
-    cfg = build_scenario("reservation", horizon=50)
-    controls = [r.t for r in run_scenario(cfg).trace
+def test_reservation_controls_are_the_busy_ticks_plus_one_trailing_tick():
+    # rotation (A, B): t=0 A runs, t=1 B is idle, t=2 B arrives and A
+    # runs, t=3 B runs, t=4 A completes, t=5 B completes, t=6 trails;
+    # t=20 A arrives and completes at once, t=21 trails.
+    cfg = build_scenario("reservation", horizon=50, jobs=[
+        JobSpec("A", 3, "1", 0), JobSpec("B", 2, "0", 2), JobSpec("A", 1, "1", 20)])
+    controls = [(r.t, r.detail["user"]) for r in run_scenario(cfg).trace
                 if r.kind is TraceKind.MSG_SEND and r.detail["msg"].startswith("ctl@")]
-    assert controls == list(range(51))
+    assert controls == [(t, "AB"[t % 2]) for t in [*range(7), 20, 21]]
 
 
 def test_golden_keeps_the_first_demand_offer():

@@ -17,6 +17,9 @@ call names its kind as a literal ``TraceKind.<member>`` other than
 every decision and the delivery it allows, so nothing is delivered that it
 did not allow. No method outside ``Clock`` schedules ``self.handle``: only a
 clock re-arms a tick, so whether a group sleeps is decided in one place.
+``ReservationScheduler.decide`` reads only ``sim.now``, ``self.rotation``
+and the builtin ``len``: the user it names is a function of the time, so
+the reservation scheduler stays blind to demand however seldom it ticks.
 """
 
 import ast
@@ -187,6 +190,41 @@ def self_rearms(source: str) -> list:
     return found
 
 
+# What the reservation rotation may read: the time and the rotation.
+ROTATION_READS = {"sim.now", "self.rotation", "len"}
+
+
+def rotation_reads(source: str) -> list:
+    """Each name or attribute chain in the body of
+    ``ReservationScheduler.decide`` other than ``ROTATION_READS``, or the
+    method's absence."""
+    methods = [method for cls in ast.walk(ast.parse(source))
+               if isinstance(cls, ast.ClassDef) and cls.name == "ReservationScheduler"
+               for method in cls.body
+               if isinstance(method, ast.FunctionDef) and method.name == "decide"]
+    if not methods:
+        return ["no ReservationScheduler.decide"]
+    nodes = [node for stmt in methods[0].body for node in ast.walk(stmt)]
+    inner = {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
+    found = set()
+    for node in nodes:
+        if id(node) in inner or not isinstance(node, (ast.Name, ast.Attribute)):
+            continue
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        chain.append(node.id if isinstance(node, ast.Name) else "?")
+        name = ".".join(reversed(chain))
+        if name not in ROTATION_READS:
+            found.add((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_reservation_rotation_reads_only_the_time():
+    assert rotation_reads((PACKAGE / "entities.py").read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_a_clock_rearms_a_tick(path):
     assert self_rearms(path.read_text(encoding="utf-8")) == []
@@ -307,3 +345,22 @@ def test_rearm_checker_flags_a_member_scheduling_its_own_tick():
                "def wire(engine, clock):\n"
                "    engine.schedule(0, clock.handle)\n")
     assert self_rearms(planted) == ["line 7: Sleeper.rest"]
+
+
+def test_rotation_checker_flags_a_scheduler_that_reads_demand():
+    planted = ("class DemandScheduler(Scheduler):\n"
+               "    def decide(self, sim):\n"
+               "        return next(u for u in self.order if self.core.slots[u])\n"
+               "class ReservationScheduler(Scheduler):\n"
+               "    def decide(self, sim: Engine) -> Optional[str]:\n"
+               "        if self.core.slots[self.rotation[0]]:\n"
+               "            return self.rotation[0]\n"
+               "        user = self.rotation[sim.now % len(self.rotation)]\n"
+               "        return user if sim.trace else offer(sim)[0].user\n")
+    assert rotation_reads(planted) == [
+        "line 6: self.core.slots", "line 8: user", "line 9: ?.user", "line 9: offer",
+        "line 9: sim", "line 9: sim.trace", "line 9: user"]
+    assert rotation_reads("class ReservationScheduler(Scheduler):\n"
+                          "    def handle(self, sim):\n"
+                          "        return self.rotation[sim.now]\n") == [
+        "no ReservationScheduler.decide"]
