@@ -1,15 +1,19 @@
 """The simulated cloud: jobs, gateways, compute cores, schedulers, pacers.
 
-Each entity is a state machine whose methods are kernel events. Per tick,
-the event phases give a fixed interaction order: job arrivals land at
-gateways (``Gateway.ingress``), pacers fire, the scheduler decides, the core
-runs one timeslice, gateways deliver (``Gateway.handle``).
+Each entity is a state machine whose methods run as kernel events or are
+called from one. Per tick, the event phases give a fixed interaction order:
+job arrivals land at gateways (``Gateway.ingress``), pacers fire, the
+scheduler decides and runs the slice it names, private cores run theirs,
+gateways deliver (``Gateway.handle``).
 
 Each group that ticks has one ``Clock``: the private cores, the pacers, and
 the scheduler as a group of one. A tick is one event that calls every
 member in wiring order. Clocks advance to the next event, not tick by tick:
 a clock sleeps once its members hold no work and is woken when work
 arrives.
+
+Config input is validated once, by ``scenarios.ScenarioConfig.validate``;
+the entities trust what ``scenarios.wire`` builds from it.
 
 Cores execute jobs deterministically: a job's result payload is a pure
 function of its input bits, independent of when and how its slices were
@@ -59,12 +63,6 @@ def pacer_period(freq: Frequency) -> int:
     return freq.denominator
 
 
-def check_bits(bits: str, name: str = "payload") -> str:
-    if not isinstance(bits, str) or bits.strip("01"):
-        raise ConfigError(f"{name} must be a bit string, got {bits!r}")
-    return bits
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """A customer's job request: what arrives at the owner's gateway."""
@@ -87,9 +85,6 @@ class Job:
     remaining: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.work < 1:
-            raise ConfigError(f"job {self.job_id}: work must be >= 1")
-        check_bits(self.payload_bits)
         check_process_label(self.label)
         self.remaining = self.work
 
@@ -155,6 +150,7 @@ class Gateway(Entity):
     """
 
     phase = Phase.GATEWAY
+    core: "ComputeCore"
 
     def __init__(self, owner: str, monitor: Monitor, caps: CapabilitySet = EMPTY_CAPS):
         super().__init__(f"gw_{owner}")
@@ -162,17 +158,10 @@ class Gateway(Entity):
         self.monitor = monitor
         self.caps = caps
         self.stamp = Label((owner,), {owner: INFINITY})
-        self.core: Optional["ComputeCore"] = None
 
     def ingress(self, sim: Engine, spec: JobSpec, job_id: str) -> Job:
         """Stamp the owner's job, send it to the core's slot and wake the
         core's clock, which the arrival phase runs ahead of."""
-        if spec.owner != self.owner:
-            raise ConfigError(f"{self.id} cannot accept a request from {spec.owner!r}")
-        if self.core is None:
-            raise ConfigError(f"{self.id} is not wired to a core")
-        if spec.owner not in self.core.slots:
-            raise ConfigError(f"{self.core.id} has no slot for {spec.owner!r}")
         job = Job(job_id, spec.owner, spec.work, spec.payload, self.stamp)
         sim.emit(TraceKind.JOB_ARRIVE, self.id, label=job.label,
                  job=job.job_id, owner=job.owner, work=job.work)
@@ -193,12 +182,13 @@ class Gateway(Entity):
 class ComputeCore(Entity):
     """A core with isolated per-customer job queues ("slots").
 
-    Runs at most one job slice per tick: its own user's when private,
-    otherwise whichever user the scheduler's control message named for the
-    current tick. Control messages are timing-only: they taint every live
-    job's timing, never its content. ``clock`` is the clock whose ticks
-    run its slices, which an arriving job wakes: the private cores' clock,
-    or the scheduler's when shared.
+    Runs at most one job slice per tick, the one its clock or scheduler
+    names: the private cores' clock calls ``handle`` with the core's own
+    user, a shared core's scheduler with the user its control message
+    named. Control messages are timing-only: they taint every live job's
+    timing, never its content. ``clock`` is the clock whose ticks run its
+    slices, which an arriving job wakes: the private cores' clock, or the
+    scheduler's when shared.
 
     Each job is tainted once. A slot changes only by ``append`` (a job
     arrives) and ``popleft`` (a job completes), so the jobs already joined
@@ -219,7 +209,6 @@ class ComputeCore(Entity):
         # Demand derives from every user's jobs: the core's full label.
         self.clearance = Label(self.users, {u: INFINITY for u in self.users})
         self.routes: Dict[str, Union["Pacer", Gateway]] = {}
-        self._last_slice_tick = -1
         self._ctrl_label: Optional[Label] = None
         self._tainted: Dict[str, int] = dict.fromkeys(self.users, 0)
 
@@ -240,20 +229,12 @@ class ComputeCore(Entity):
             self._tainted[user] = len(queue)
 
     def handle(self, sim: Engine, user: str) -> bool:
-        """Run one slice of ``user``'s work; whether ``user`` still has a
-        job queued, which keeps the private cores' clock ticking."""
-        self.run_slice(sim, user)
-        return bool(self.slots[user])
-
-    def run_slice(self, sim: Engine, user: str) -> None:
-        if user not in self.slots:
-            raise ConfigError(f"{self.id} has no slot for {user!r}")
-        if self._last_slice_tick == sim.now:
-            return
-        self._last_slice_tick = sim.now
+        """Run one slice of ``user``'s work, if ``user`` has a job; whether
+        ``user`` still has one queued, which keeps the private cores' clock
+        ticking."""
         queue = self.slots[user]
         if not queue:
-            return
+            return False
         job = queue[0]
         sim.emit(TraceKind.SLICE_START, self.id, label=job.label,
                  job=job.job_id, owner=user, remaining=job.remaining)
@@ -267,6 +248,7 @@ class ComputeCore(Entity):
             sim.emit(TraceKind.JOB_COMPLETE, self.id, label=job.label,
                      job=job.job_id, owner=user, result=digest)
             self._send_result(sim, user, Message(digest, job.label, f"res_{job.job_id}"))
+        return bool(queue)
 
     def _send_result(self, sim: Engine, user: str, msg: Message) -> None:
         target = self.routes[user]
@@ -304,7 +286,6 @@ class Pacer(Entity):
         downstream: Gateway,
     ):
         super().__init__(f"pacer_{owner}")
-        pacer_period(freq)  # rejects a frequency that is not 1/k
         self.freq = freq
         self.downstream = downstream
         self.clearance = Label((owner,), {u: INFINITY for u in users})
@@ -336,9 +317,10 @@ class Scheduler(Entity):
     """Base: each tick names a user, or none, and commands the core.
 
     Its clock, a group of one, is also its core's clock, and ticks while
-    the core holds a job. The scheduler's phase runs before the core's, so
-    the tick after the last job's final slice still fires, finds the slots
-    empty and puts the clock to sleep until ``Gateway.ingress`` wakes it.
+    the core holds a job. The scheduler judges its work as its tick begins,
+    before the slice it names runs, so the tick after the last job's final
+    slice still fires, finds the slots empty and puts the clock to sleep
+    until ``Gateway.ingress`` wakes it.
     """
 
     phase = Phase.SCHEDULER
@@ -354,21 +336,24 @@ class Scheduler(Entity):
         raise NotImplementedError
 
     def handle(self, sim: Engine) -> bool:
-        """Name this tick's user, if any, to the core; whether one was
-        named while the core still holds a job."""
+        """Name this tick's user, if any, to the core, which runs that
+        user's slice; whether one was named while the core held a job as
+        the tick began."""
         user = self.decide(sim)
-        if user is not None:
-            self.send_control(sim, user)
-        return user is not None and any(self.core.slots.values())
+        if user is None:
+            return False
+        busy = any(self.core.slots.values())
+        self.send_control(sim, user)
+        return busy
 
     def send_control(self, sim: Engine, user: str) -> None:
-        """Tell the core whose slice this tick is; the control message
-        taints the core's jobs with this scheduler's timing."""
+        """Tell the core whose slice this tick is and run it; the control
+        message taints the core's jobs with this scheduler's timing."""
         named = {"user": user}
         if self.monitor.send(sim, self, self.core, self.clearance, f"ctl@{sim.now}",
                              sent=named, received=named).allowed:
             self.core.taint_jobs(sim, self.clearance)
-            sim.schedule(sim.now, self.core.handle, user)
+            self.core.handle(sim, user)
 
 
 class ReservationScheduler(Scheduler):

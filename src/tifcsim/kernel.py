@@ -7,7 +7,8 @@ is a pure function of its initial schedule: identical configuration gives
 byte-identical traces on every platform.
 
 At equal time, phases fix the tie order: arrivals land first, then pacers
-fire, then schedulers decide, then cores run, then gateways deliver.
+fire, then schedulers decide and run the slices they name, then private
+cores run, then gateways deliver.
 
 Events of one ``(time, phase)`` on distinct entities commute: in any order
 that keeps each entity's own events in ``seq`` order, every gateway sees the

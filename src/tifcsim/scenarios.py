@@ -27,7 +27,6 @@ from .entities import (
     Pacer,
     ReservationScheduler,
     Scheduler,
-    check_bits,
     pacer_period,
 )
 from .kernel import ConfigError, Engine, Phase, TraceKind, TraceRecord
@@ -149,6 +148,11 @@ class ScenarioConfig:
 def _whole(value: object, least: int) -> bool:
     """An int (never a bool or a float) of at least ``least``."""
     return type(value) is int and value >= least
+
+
+def check_bits(bits: str, name: str) -> None:
+    if not isinstance(bits, str) or bits.strip("01"):
+        raise ConfigError(f"{name} must be a bit string, got {bits!r}")
 
 
 def _check_users(users: Sequence[str]) -> None:

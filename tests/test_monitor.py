@@ -229,7 +229,7 @@ def _deny_result_to_pacer():
     pacer = sim.add(Pacer("A", Frequency(1, 5), ("A",), gw))  # B not cleared
     core.routes["A"] = pacer
     core.slots["A"].append(Job("A0", "A", 1, "1", Label.parse("{A/A:inf,B:inf}")))
-    core.run_slice(sim, "A")
+    core.handle(sim, "A")
     return sim, ("core", "pacer_A"), lambda: not pacer.queue
 
 
@@ -245,8 +245,7 @@ def _deny_control():
     job = Job("A0", "A", 2, "1", Label.parse("{A/A:inf}"))
     core.slots["A"].append(job)
     sched = sim.add(Scheduler("sched", core, monitor, Label.parse("{C/C:inf}")))
-    sched.send_control(sim, "A")
-    sim.run_until(0)  # a slice would have been scheduled for now
+    sched.send_control(sim, "A")  # allowed, it would run A's slice at once
     return sim, ("sched", "core"), lambda: (
         job.label == Label.parse("{A/A:inf}") and job.remaining == 2)
 

@@ -20,6 +20,12 @@ control messages at ticks when its core held no job and had held none the
 tick before. And a run forked with ``copy.deepcopy`` at any tick finishes
 as a fresh run does, without sharing state with the run it was forked from.
 
+A core runs at most one slice per tick: no core entity writes two
+``SliceStart`` records at one tick. Nothing in a core guards this; the
+clocks and the scheduler call each core once per tick, and a scheduler
+that runs the slice it names twice is caught by
+``test_a_core_that_runs_two_slices_in_a_tick_is_caught``.
+
 The reservation scheduler is blind to demand: every control message it
 sends at tick t names ``rotation[t % n]``, whatever the workload. A
 scheduler that skips users with empty slots breaks that property, and
@@ -35,7 +41,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from reference import FREQ_POOL, oracle_flow_allowed
-from tifcsim.entities import Clock, JobSpec, ReservationScheduler, pacer_period
+from tifcsim.entities import Clock, JobSpec, ReservationScheduler, Scheduler, pacer_period
 from tifcsim.kernel import TraceKind, trace_to_jsonl
 from tifcsim.labels import INFINITY, Capability, Frequency, Label
 from tifcsim.scenarios import ScenarioConfig, SchedulerSpec, run_scenario, wire
@@ -80,6 +86,16 @@ def gateway_view(trace, user):
     return [r.to_json() for r in trace if r.entity == f"gw_{user}"]
 
 
+def one_slice_per_core_per_tick(trace):
+    starts = [(r.entity, r.t) for r in trace if r.kind is TraceKind.SLICE_START]
+    assert len(set(starts)) == len(starts), f"two slices in one tick: {starts}"
+
+
+# Reproducible and cheap: fixed examples, no database, no shrinking.
+PLANTED = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                   phases=(Phase.explicit, Phase.generate))
+
+
 @settings(max_examples=100, deadline=None)
 @given(cfg=configs(), data=st.data())
 def test_random_topologies_keep_their_promises(cfg, data):
@@ -92,6 +108,8 @@ def test_random_topologies_keep_their_promises(cfg, data):
             if r.entity == f"gw_{user}" and r.kind in EGRESS:
                 allowed = r.kind is not TraceKind.MONITOR_DENY
                 assert oracle_flow_allowed(r.label, grants, stamp) is allowed, r
+
+    one_slice_per_core_per_tick(trace)
 
     padded = [None, *trace, None]
     for before, r, after in zip(padded, padded[1:], padded[2:]):
@@ -187,12 +205,32 @@ def skip_empty_slots(self, sim):
 
 
 def test_a_rotation_that_skips_empty_slots_is_caught():
-    # Reproducible and cheap: fixed examples, no database, no shrinking.
-    check = settings(max_examples=100, deadline=None, derandomize=True, database=None,
-                     phases=(Phase.explicit, Phase.generate))(
-        given(cfg=configs(kinds=("reservation",)))(controls_follow_the_rotation))
+    check = PLANTED(given(cfg=configs(kinds=("reservation",)))(controls_follow_the_rotation))
     with mock.patch.object(ReservationScheduler, "decide", skip_empty_slots):
         with pytest.raises(AssertionError):
+            check()
+
+
+def slices_twice():
+    """A planted fault: the scheduler runs the slice it names twice."""
+    send_control = Scheduler.send_control
+
+    def twice(self, sim, user):
+        send_control(self, sim, user)
+        self.core.handle(sim, user)
+
+    return mock.patch.object(Scheduler, "send_control", twice)
+
+
+def runs_one_slice_per_tick(cfg):
+    one_slice_per_core_per_tick(run_scenario(cfg).trace)
+
+
+def test_a_core_that_runs_two_slices_in_a_tick_is_caught():
+    check = PLANTED(given(cfg=configs(kinds=("reservation", "demand")))(
+        runs_one_slice_per_tick))
+    with slices_twice():
+        with pytest.raises(AssertionError, match="two slices in one tick"):
             check()
 
 

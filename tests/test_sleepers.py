@@ -3,17 +3,20 @@
 Every clock, the schedulers', the private cores' and the pacers', stops
 re-arming once its group's work ends and is woken when work arrives, so a
 run's cost and trace do not grow with idle ticks. A scheduler's clock
-ticks once more after its core's last slice: the scheduler's phase runs
-before the core's, so it still sees that last job. ``test_random_workloads``
-checks the traces against clocks that never sleep.
+ticks once more after its core's last slice: the scheduler judges its work
+as its tick begins, before the slice it names runs, so it still sees that
+last job. A core's slice is never an engine event of its own: its clock or
+its scheduler runs it. ``test_random_workloads`` checks the traces against
+clocks that never sleep.
 """
 
 import dataclasses
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from tifcsim.entities import Clock, Gateway, Message, Pacer
+from tifcsim.entities import Clock, ComputeCore, Gateway, Message, Pacer
 from tifcsim.kernel import Engine, TraceKind, trace_from_jsonl, trace_to_jsonl
 from tifcsim.labels import Frequency, Label
 from tifcsim.leakage import CovertExperiment, build_config
@@ -54,13 +57,28 @@ def test_idle_horizon_changes_nothing(name):
     engine.run_until(last)
     if name == "reservation":
         # Unpaced, the last delivery is at the core's last slice, and the
-        # scheduler's clock ticks once more after it.
+        # scheduler's clock ticks once more after it: the scheduler judged
+        # its work as that tick began, before the slice it named ran.
         clock = engine.entity("clock_sched")
         assert [(t, handler) for t, _, _, handler, _ in engine._queue] == [
             (last + 1, clock.handle)]
         engine.run_until(last + 1)
     assert engine._queue == []
     assert trace_to_jsonl(engine.trace) == trace_to_jsonl(trace)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_no_core_slice_is_an_event_of_its_own(name):
+    schedule, handlers = Engine.schedule, []
+
+    def recorded(self, time, handler, *args, **kwargs):
+        handlers.append(handler)
+        schedule(self, time, handler, *args, **kwargs)
+
+    with mock.patch.object(Engine, "schedule", recorded):
+        trace = run_scenario(CONFIGS[name]).trace
+    assert any(r.kind is TraceKind.SLICE_START for r in trace)
+    assert [h for h in handlers if h.__func__ is ComputeCore.handle] == []
 
 
 def test_reservation_controls_are_the_busy_ticks_plus_one_trailing_tick():
