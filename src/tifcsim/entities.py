@@ -2,9 +2,9 @@
 
 Each entity is a state machine whose methods run as kernel events or are
 called from one. Per tick, the event phases give a fixed interaction order:
-job arrivals land at gateways (``Gateway.ingress``), pacers fire, the
-scheduler decides and runs the slice it names, private cores run theirs,
-gateways deliver (``Gateway.handle``).
+job arrivals land at gateways (``Gateway.ingress``), pacers fire, then the
+scheduler or the private cores run slices. The tick that releases a result,
+a pacer's or an unpaced core's, delivers it (``Gateway.handle``).
 
 Each group that ticks has one ``Clock``: the private cores, the pacers, and
 the scheduler as a group of one. A tick is one event that calls every
@@ -149,7 +149,7 @@ class Gateway(Entity):
     customer (who accepts only their own taint).
     """
 
-    phase = Phase.GATEWAY
+    phase = Phase.ARRIVAL
     core: "ComputeCore"
 
     def __init__(self, owner: str, monitor: Monitor, caps: CapabilitySet = EMPTY_CAPS):
@@ -161,7 +161,7 @@ class Gateway(Entity):
 
     def ingress(self, sim: Engine, spec: JobSpec, job_id: str) -> Job:
         """Stamp the owner's job, send it to the core's slot and wake the
-        core's clock, which the arrival phase runs ahead of."""
+        core's clock, whose tick at this time runs after every arrival."""
         job = Job(job_id, spec.owner, spec.work, spec.payload, self.stamp)
         sim.emit(TraceKind.JOB_ARRIVE, self.id, label=job.label,
                  job=job.job_id, owner=job.owner, work=job.work)
@@ -261,7 +261,7 @@ class ComputeCore(Entity):
             # Gateway route: the egress decision is the guard.
             sim.emit(TraceKind.MSG_SEND, self.id, label=msg.label,
                      msg=msg.msg_id, to=target.id)
-            sim.schedule(sim.now, target.handle, msg)
+            target.handle(sim, msg)
 
 
 class Pacer(Entity):
@@ -299,7 +299,7 @@ class Pacer(Entity):
             released = dataclasses.replace(msg, label=msg.label.pace_down(self.freq))
             sim.emit(TraceKind.PACER_RELEASE, self.id, label=released.label,
                      msg=released.msg_id, queued=len(self.queue))
-            sim.schedule(sim.now, self.downstream.handle, released)
+            self.downstream.handle(sim, released)
         return bool(self.queue)
 
 
@@ -323,7 +323,7 @@ class Scheduler(Entity):
     until ``Gateway.ingress`` wakes it.
     """
 
-    phase = Phase.SCHEDULER
+    phase = Phase.CORE
 
     def __init__(self, entity_id: str, core: ComputeCore, monitor: Monitor,
                  clearance: Label):

@@ -6,9 +6,9 @@ total order of execution; ``seq`` is assigned at scheduling time, so a run
 is a pure function of its initial schedule: identical configuration gives
 byte-identical traces on every platform.
 
-At equal time, phases fix the tie order: arrivals land first, then pacers
-fire, then schedulers decide and run the slices they name, then private
-cores run, then gateways deliver.
+At equal time, the phase of an entity's class fixes the tie order: arrivals
+land first, then pacers fire, then cores run. Every event is an arrival or a
+clock tick; a delivery runs inside the tick that releases it.
 
 Events of one ``(time, phase)`` on distinct entities commute: in any order
 that keeps each entity's own events in ``seq`` order, every gateway sees the
@@ -54,9 +54,7 @@ class MonitorFault(SimError):
 class Phase(IntEnum):
     ARRIVAL = 0
     PACER = 1
-    SCHEDULER = 2
-    CORE = 3
-    GATEWAY = 4
+    CORE = 2
 
 
 class TraceKind(str, Enum):
@@ -111,7 +109,7 @@ class TraceRecord(NamedTuple):
 class Entity:
     """Base for simulated nodes: state machines whose methods are events."""
 
-    phase: Phase = Phase.GATEWAY
+    phase: Phase
 
     def __init__(self, entity_id: str):
         self.id = entity_id
@@ -142,10 +140,9 @@ class Engine:
     def entity(self, entity_id: str) -> Entity:
         return self._entities[entity_id]
 
-    def schedule(self, time: int, handler: Callable[..., object], *args: object,
-                 phase: Optional[Phase] = None) -> None:
-        """Call ``handler(engine, *args)`` at ``time``. ``handler`` is a
-        bound method of an added entity, whose phase is the default."""
+    def schedule(self, time: int, handler: Callable[..., object], *args: object) -> None:
+        """Call ``handler(engine, *args)`` at ``time``, in its entity's
+        phase. ``handler`` is a bound method of an added entity."""
         if time < self._now:
             raise SchedulingError(
                 f"cannot schedule at t={time} before current t={self._now}"
@@ -157,8 +154,7 @@ class Engine:
             added = False
         if not added:
             raise SchedulingError(f"{handler!r} is not a method of an added entity")
-        heapq.heappush(self._queue, (time, phase if phase is not None else target.phase,
-                                     next(self._seq), handler, args))
+        heapq.heappush(self._queue, (time, target.phase, next(self._seq), handler, args))
 
     def emit(self, kind: TraceKind, entity: str, label: Optional[Label] = None,
              **detail: object) -> TraceRecord:

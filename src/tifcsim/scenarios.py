@@ -29,7 +29,7 @@ from .entities import (
     Scheduler,
     pacer_period,
 )
-from .kernel import ConfigError, Engine, Phase, TraceKind, TraceRecord
+from .kernel import ConfigError, Engine, TraceKind, TraceRecord
 from .labels import INFINITY, TAG_RE, Capability, CapabilitySet, Frequency, Label
 from .monitor import Monitor, MonitorMode
 
@@ -349,8 +349,7 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
     for spec in cfg.jobs:
         job_id = f"{spec.owner}{counters[spec.owner]}"
         counters[spec.owner] += 1
-        engine.schedule(spec.arrival, gateways[spec.owner].ingress, spec, job_id,
-                        phase=Phase.ARRIVAL)
+        engine.schedule(spec.arrival, gateways[spec.owner].ingress, spec, job_id)
     return engine, monitor
 
 
@@ -615,34 +614,35 @@ def render_schedule(trace: Sequence[TraceRecord], cfg: ScenarioConfig) -> str:
     '#'-cells are executed slices, 'R' marks a delivery reaching the
     customer, 'X' a denied delivery attempt.
     """
-    slices: Dict[Tuple[str, str], List[int]] = {}
+    slices: Dict[Tuple[str, str], Dict[int, str]] = {}
     outs: Dict[str, Dict[int, str]] = {f"gw_{u}": {} for u in cfg.users}
     for r in trace:
         if r.kind is TraceKind.SLICE_START:
-            slices.setdefault((r.entity, r.detail["owner"]), []).append(r.t)
+            slices.setdefault((r.entity, r.detail["owner"]), {})[r.t] = "#"
         elif r.entity in outs:
             if r.kind is TraceKind.MSG_RECV:
                 outs[r.entity].setdefault(r.t, "R")
             elif r.kind is TraceKind.MONITOR_DENY:
                 outs[r.entity][r.t] = "X"  # a denial outranks a delivery
 
-    drawn = [t for ts in slices.values() for t in ts]
-    drawn += [t for marks in outs.values() for t in marks]
-    last = max(drawn, default=0)
+    last = max((t for marks in (*slices.values(), *outs.values()) for t in marks), default=0)
     width = min(cfg.horizon + 1, last + 2)  # the run includes t = horizon
 
     def row(marks: Mapping[int, str]) -> str:
-        return "".join(marks.get(t, ".") for t in range(width))
+        cells = ["."] * width
+        for t, mark in marks.items():
+            if 0 <= t < width:  # a decoded trace may hold marks past the chart
+                cells[t] = mark
+        return "".join(cells)
 
     name_w = max(
         [len(f"{c}/{u}") for c, u in slices] + [len(f"out:{u}") for u in cfg.users] + [5]
     )
-    tens = "".join(str((t // 10) % 10) if t % 10 == 0 else " " for t in range(width))
-    ones = "".join(str(t % 10) for t in range(width))
+    tens = "".join(f"{t // 10 % 10:<10}" for t in range(0, width, 10))[:width]
+    ones = ("0123456789" * (width // 10 + 1))[:width]
     lines = [f"{'tick':<{name_w}} {tens}", f"{'':<{name_w}} {ones}"]
     for (core, user) in sorted(slices):
-        lines.append(f"{f'{core}/{user}':<{name_w}} "
-                     + row({t: "#" for t in slices[(core, user)]}))
+        lines.append(f"{f'{core}/{user}':<{name_w}} " + row(slices[(core, user)]))
     for u in cfg.users:
         lines.append(f"{f'out:{u}':<{name_w}} " + row(outs[f"gw_{u}"]))
     return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 The engine runs events in ``(time, phase, seq)`` order, and ``seq`` is
 scheduling order, so the order among same-phase events on distinct
-entities (two gateways, two job arrivals) is an accident of how ``wire``
+entities (job arrivals at two gateways) is an accident of how ``wire``
 was written, and so is the wiring order in which one clock's tick calls its
 members (two pacers, two private cores). ``InterleavingEngine`` dispatches
 each ``(time, phase)`` batch in another order: the events of distinct

@@ -45,12 +45,14 @@ def test_same_time_runs_in_seq_order():
 
 
 def test_phases_break_ties_before_seq():
+    # One probe class per phase, scheduled at one tick in reverse phase order.
+    assert list(Phase) == [Phase.ARRIVAL, Phase.PACER, Phase.CORE]
     sim = Engine()
-    p = sim.add(Probe("p"))
-    sim.schedule(1, p.handle, "late", phase=Phase.GATEWAY)
-    sim.schedule(1, p.handle, "early", phase=Phase.PACER)
-    sim.run_until(1)
-    assert [x[1][0] for x in p.seen] == ["early", "late"]
+    probes = [sim.add(type(f"{phase.name}Probe", (Probe,), {"phase": phase})(phase.name))
+              for phase in reversed(Phase)]
+    for p in probes:
+        sim.schedule(1, p.handle, p.id)
+    assert [r.entity for r in sim.run_until(1)] == ["ARRIVAL", "PACER", "CORE"]
 
 
 def test_schedule_into_past_is_fatal():

@@ -7,7 +7,11 @@ and jobs. Every gateway decision is checked against the tag-by-tag oracle
 in ``tests/reference.py``, which reads the grants as a plain list of
 ``Capability`` values, so a run checks ``CapabilitySet`` and
 ``check_send`` together. Every delivery directly follows the monitor's
-allow for it, and every allow directly precedes its delivery. With a
+allow for it, and every allow directly precedes its delivery. Every
+gateway decision directly follows the hand-off of its message, the pacer's
+release or the unpaced core's send, so the tick that releases a result
+delivers it; a pacer that defers the delivery to an event of its own is
+caught by ``test_a_delivery_apart_from_its_release_is_caught``. With a
 pacer, releases and deliveries land on its grid with timing at most its
 frequency. Two runs give the same bytes, and without a demand scheduler
 the first user's gateway records do not change when every other user's
@@ -41,7 +45,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from reference import FREQ_POOL, oracle_flow_allowed
-from tifcsim.entities import Clock, JobSpec, ReservationScheduler, Scheduler, pacer_period
+from tifcsim.entities import (Clock, JobSpec, Pacer, ReservationScheduler, Scheduler,
+                              pacer_period)
 from tifcsim.kernel import TraceKind, trace_to_jsonl
 from tifcsim.labels import INFINITY, Capability, Frequency, Label
 from tifcsim.scenarios import ScenarioConfig, SchedulerSpec, run_scenario, wire
@@ -82,6 +87,33 @@ def is_delivery(allow, recv):
             == (recv.entity, recv.t, recv.detail["msg"]))
 
 
+def is_hand_off(hand_off, decision):
+    """``hand_off`` passes the message that a gateway's ``decision`` is
+    about to that gateway, at the same tick: its pacer's release, or an
+    unpaced core's send."""
+    gateway = decision.entity
+    return (hand_off is not None and hand_off.t == decision.t
+            and hand_off.detail.get("msg") == decision.detail["msg"]
+            and ((hand_off.kind is TraceKind.PACER_RELEASE
+                  and hand_off.entity == "pacer_" + gateway[len("gw_"):])
+                 or (hand_off.kind is TraceKind.MSG_SEND
+                     and hand_off.detail.get("to") == gateway)))
+
+
+def completely_mediated(trace):
+    """Each delivery and its allow are adjacent, and each gateway decision
+    directly follows its message's hand-off."""
+    padded = [None, *trace, None]
+    for before, r, after in zip(padded, padded[1:], padded[2:]):
+        if r.kind is TraceKind.MSG_RECV:
+            assert is_delivery(before, r), r
+        elif r.kind is TraceKind.MONITOR_ALLOW:
+            assert is_delivery(r, after), r
+        if r.kind in (TraceKind.MONITOR_ALLOW, TraceKind.MONITOR_DENY) \
+                and r.entity.startswith("gw_"):
+            assert is_hand_off(before, r), f"decided apart from its hand-off: {r}"
+
+
 def gateway_view(trace, user):
     return [r.to_json() for r in trace if r.entity == f"gw_{user}"]
 
@@ -111,12 +143,7 @@ def test_random_topologies_keep_their_promises(cfg, data):
 
     one_slice_per_core_per_tick(trace)
 
-    padded = [None, *trace, None]
-    for before, r, after in zip(padded, padded[1:], padded[2:]):
-        if r.kind is TraceKind.MSG_RECV:
-            assert is_delivery(before, r), r
-        elif r.kind is TraceKind.MONITOR_ALLOW:
-            assert is_delivery(r, after), r
+    completely_mediated(trace)
 
     if cfg.pacer is not None:
         period = pacer_period(cfg.pacer)
@@ -153,7 +180,7 @@ def is_scheduler_message(record):
 
 
 def held_ticks(trace):
-    """The ticks at whose scheduler phase a core held a job: from each
+    """The ticks at whose scheduler tick a core held a job: from each
     job's arrival to the tick of its last slice, or to the horizon."""
     done = {r.detail["job"]: r.t for r in trace if r.kind is TraceKind.JOB_COMPLETE}
     return {t for r in trace if r.kind is TraceKind.JOB_ARRIVE
@@ -231,6 +258,34 @@ def test_a_core_that_runs_two_slices_in_a_tick_is_caught():
         runs_one_slice_per_tick))
     with slices_twice():
         with pytest.raises(AssertionError, match="two slices in one tick"):
+            check()
+
+
+def deferred_deliveries():
+    """A planted fault: a pacer hands each release to its gateway as a
+    same-tick engine event of its own, not inside its tick."""
+    handle = Pacer.handle
+
+    def release(self, sim):
+        gateway = self.downstream
+        self.downstream = mock.Mock(
+            handle=lambda sim, msg: sim.schedule(sim.now, gateway.handle, msg))
+        try:
+            return handle(self, sim)
+        finally:
+            self.downstream = gateway
+
+    return mock.patch.object(Pacer, "handle", release)
+
+
+def runs_completely_mediated(cfg):
+    completely_mediated(run_scenario(cfg).trace)
+
+
+def test_a_delivery_apart_from_its_release_is_caught():
+    check = PLANTED(given(cfg=configs())(runs_completely_mediated))
+    with deferred_deliveries():
+        with pytest.raises(AssertionError, match="decided apart from its hand-off"):
             check()
 
 

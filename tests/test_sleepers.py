@@ -6,8 +6,9 @@ run's cost and trace do not grow with idle ticks. A scheduler's clock
 ticks once more after its core's last slice: the scheduler judges its work
 as its tick begins, before the slice it names runs, so it still sees that
 last job. A core's slice is never an engine event of its own: its clock or
-its scheduler runs it. ``test_random_workloads`` checks the traces against
-clocks that never sleep.
+its scheduler runs it. Nor is a delivery: every event is a clock tick or a
+job arrival. ``test_random_workloads`` checks the traces against clocks
+that never sleep.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ from unittest import mock
 
 import pytest
 
-from tifcsim.entities import Clock, ComputeCore, Gateway, Message, Pacer
+from tifcsim.entities import Clock, Gateway, Message, Pacer
 from tifcsim.kernel import Engine, TraceKind, trace_from_jsonl, trace_to_jsonl
 from tifcsim.labels import Frequency, Label
 from tifcsim.leakage import CovertExperiment, build_config
@@ -71,14 +72,15 @@ def test_idle_horizon_changes_nothing(name):
 def test_no_core_slice_is_an_event_of_its_own(name):
     schedule, handlers = Engine.schedule, []
 
-    def recorded(self, time, handler, *args, **kwargs):
+    def recorded(self, time, handler, *args):
         handlers.append(handler)
-        schedule(self, time, handler, *args, **kwargs)
+        schedule(self, time, handler, *args)
 
     with mock.patch.object(Engine, "schedule", recorded):
         trace = run_scenario(CONFIGS[name]).trace
     assert any(r.kind is TraceKind.SLICE_START for r in trace)
-    assert [h for h in handlers if h.__func__ is ComputeCore.handle] == []
+    # no ComputeCore.handle, and no Gateway.handle either
+    assert {h.__func__ for h in handlers} == {Clock.handle, Gateway.ingress}
 
 
 def test_reservation_controls_are_the_busy_ticks_plus_one_trailing_tick():
