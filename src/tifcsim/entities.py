@@ -9,8 +9,9 @@ a pacer's or an unpaced core's, delivers it (``Gateway.handle``).
 Each group that ticks has one ``Clock``: the private cores, the pacers, and
 the scheduler as a group of one. A tick is one event that calls every
 member in wiring order. Clocks advance to the next event, not tick by tick:
-a clock sleeps once its members hold no work and is woken when work
-arrives.
+a clock ticks at t if and only if its group holds work at t. Every clock
+starts asleep; an arriving job or a queued result wakes it, and a tick
+re-arms it only while a member still holds work after that tick.
 
 Config input is validated once, by ``scenarios.ScenarioConfig.validate``;
 the entities trust what ``scenarios.wire`` builds from it.
@@ -103,11 +104,11 @@ class Clock(Entity):
     that calls every member's ``handle`` with that member's arguments, in
     wiring order. ``members`` pairs each member with those arguments, and
     the clock links each member back as its ``clock``. A ``handle``
-    returns whether its member still holds work: the clock re-arms for its
-    next tick while any member does, and otherwise sleeps until ``wake``.
-    An idle tick writes no record but a demand offer or a reservation
-    control message, so sleeping through idle ticks removes those from the
-    trace and nothing else.
+    returns whether its member still holds work after its tick. The clock
+    starts asleep, re-arms for its next tick while any member holds work,
+    and otherwise sleeps until ``wake``. So it ticks exactly while its
+    group holds work; an idle tick would write no record but a demand
+    offer or a reservation control message.
     """
 
     def __init__(self, entity_id: str, members: Sequence[Tuple[Entity, tuple]],
@@ -116,7 +117,7 @@ class Clock(Entity):
         self.members = tuple(members)
         self.phase = self.members[0][0].phase
         self.period = period
-        self.asleep = False
+        self.asleep = True
         for member, _ in self.members:
             member.clock = self
 
@@ -316,11 +317,9 @@ def offer_demand(sim: Engine, monitor: Monitor, core: ComputeCore,
 class Scheduler(Entity):
     """Base: each tick names a user, or none, and commands the core.
 
-    Its clock, a group of one, is also its core's clock, and ticks while
-    the core holds a job. The scheduler judges its work as its tick begins,
-    before the slice it names runs, so the tick after the last job's final
-    slice still fires, finds the slots empty and puts the clock to sleep
-    until ``Gateway.ingress`` wakes it.
+    Its clock, a group of one, is also its core's clock, and ticks exactly
+    while the core holds a job: ``Gateway.ingress`` wakes it, and it
+    sleeps after the tick that runs the core's last slice.
     """
 
     phase = Phase.CORE
@@ -337,14 +336,11 @@ class Scheduler(Entity):
 
     def handle(self, sim: Engine) -> bool:
         """Name this tick's user, if any, to the core, which runs that
-        user's slice; whether one was named while the core held a job as
-        the tick began."""
+        user's slice; whether the core still holds a job after that slice."""
         user = self.decide(sim)
-        if user is None:
-            return False
-        busy = any(self.core.slots.values())
-        self.send_control(sim, user)
-        return busy
+        if user is not None:
+            self.send_control(sim, user)
+        return any(self.core.slots.values())
 
     def send_control(self, sim: Engine, user: str) -> None:
         """Tell the core whose slice this tick is and run it; the control

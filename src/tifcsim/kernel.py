@@ -8,7 +8,8 @@ byte-identical traces on every platform.
 
 At equal time, the phase of an entity's class fixes the tie order: arrivals
 land first, then pacers fire, then cores run. Every event is an arrival or a
-clock tick; a delivery runs inside the tick that releases it.
+clock tick, and a clock ticks only while its group holds work; a delivery
+runs inside the tick that releases it.
 
 Events of one ``(time, phase)`` on distinct entities commute: in any order
 that keeps each entity's own events in ``seq`` order, every gateway sees the

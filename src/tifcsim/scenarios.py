@@ -14,6 +14,7 @@ job and diffs what the first user can observe at their gateway.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -307,12 +308,11 @@ class ScenarioRun:
 
 
 def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
-    """Instantiate entities for a config and schedule the initial events:
-    the arrivals and each clock's first tick, the scheduler's or the
-    private cores' at 0 and the pacers' at their first period. The private
-    cores share one ``entities.Clock`` and the pacers another, each calling
-    its members in user order; a shared core runs on its scheduler's
-    clock."""
+    """Instantiate entities for a config and schedule its job arrivals,
+    the only initial events: every clock starts asleep until work wakes
+    it. The private cores share one ``entities.Clock`` and the pacers
+    another, each calling its members in user order; a shared core runs on
+    its scheduler's clock."""
     engine = Engine()
     monitor = Monitor(cfg.monitor_mode)
 
@@ -323,7 +323,7 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
 
     if cfg.scheduler is None:
         cores = {u: engine.add(ComputeCore(f"core_{u}", (u,), monitor)) for u in cfg.users}
-        clock = engine.add(Clock("clock_cores", [(cores[u], (u,)) for u in cfg.users]))
+        engine.add(Clock("clock_cores", [(cores[u], (u,)) for u in cfg.users]))
     else:
         shared = engine.add(ComputeCore("core", cfg.users, monitor))
         cores = dict.fromkeys(cfg.users, shared)
@@ -333,14 +333,12 @@ def wire(cfg: ScenarioConfig) -> Tuple[Engine, Monitor]:
             sched = DemandScheduler(shared, monitor, cfg.scheduler.users)
         clock = engine.add(Clock("clock_sched", [(engine.add(sched), ())]))
         shared.clock = clock  # an arrival at the shared core wakes its scheduler
-    engine.schedule(0, clock.handle)
 
     pacers: Dict[str, Pacer] = {}
     if cfg.pacer is not None:
         pacers = {u: engine.add(Pacer(u, cfg.pacer, cfg.users, gateways[u])) for u in cfg.users}
-        pacing = engine.add(Clock("clock_pacers", [(p, ()) for p in pacers.values()],
-                                  pacer_period(cfg.pacer)))
-        engine.schedule(pacing.period, pacing.handle)
+        engine.add(Clock("clock_pacers", [(p, ()) for p in pacers.values()],
+                         pacer_period(cfg.pacer)))
     for u in cfg.users:
         gateways[u].core = cores[u]
         cores[u].routes[u] = pacers.get(u, gateways[u])
@@ -392,10 +390,8 @@ class RecordSelector:
         return all(record.detail.get(k) == v for k, v in self.detail.items())
 
     def find(self, trace: Sequence[TraceRecord]) -> Optional[TraceRecord]:
-        hits = [r for r in trace if self.matches(r)]
-        if self.occurrence < len(hits):
-            return hits[self.occurrence]
-        return None
+        hits = filter(self.matches, trace)
+        return next(itertools.islice(hits, self.occurrence, None), None)
 
     def describe(self) -> str:
         parts = []

@@ -43,8 +43,8 @@ def make_core(users=("A",)):
     monitor = Monitor()
     core = sim.add(ComputeCore("core", users, monitor))
     # Awake but never armed: an arrival wakes nothing, and each test runs
-    # the core's slices itself.
-    sim.add(Clock("clock", [(core, (users[0],))]))
+    # the core's slices itself. A clock starts asleep, so hold it awake.
+    sim.add(Clock("clock", [(core, (users[0],))])).asleep = False
     gws = {}
     for u in users:
         gw = sim.add(Gateway(u, monitor))
@@ -215,7 +215,7 @@ def make_pacer(freq=F15):
     gw = sim.add(Gateway("A", monitor, CapabilitySet([Capability("B", freq)])))
     pacer = sim.add(Pacer("A", freq, ("A", "B"), gw))
     clock = sim.add(Clock("clock", [(pacer, ())], pacer_period(freq)))
-    sim.schedule(clock.period, clock.handle)
+    clock.wake(sim, clock.period)
     return sim, pacer, gw
 
 
@@ -226,7 +226,8 @@ def msg(jid, label):
 def test_core_result_enters_pacer_through_checked_send():
     sim, monitor, core, gws = make_core(users=("A", "B"))
     pacer = sim.add(Pacer("A", F15, ("A", "B"), gws["A"]))
-    sim.add(Clock("pacing", [(pacer, ())], 5))  # awake but never armed
+    # Awake but never armed: the queued result wakes nothing.
+    sim.add(Clock("pacing", [(pacer, ())], 5)).asleep = False
     core.routes["A"] = pacer
     pacer.queue.append(msg("X0", A_LABEL))
     core.slots["A"].append(job(work=1))
@@ -373,9 +374,8 @@ def test_reservation_slice_owner_sequence_work_independent():
                 if r.kind is TraceKind.MSG_SEND and r.entity == "sched"}
 
     short, long = owners(2), owners(9)
-    # last slices at t=4 (A) and t=17 (B's ninth, on odd ticks), then one
-    # trailing tick
-    assert sorted(short) == list(range(6)) and sorted(long) == list(range(19))
+    # last slices at t=4 (A) and t=17 (B's ninth, on odd ticks)
+    assert sorted(short) == list(range(5)) and sorted(long) == list(range(18))
     assert all(long[t] == user for t, user in short.items())
 
 

@@ -18,11 +18,15 @@ the first user's gateway records do not change when every other user's
 jobs are drawn again.
 
 Sleeping clocks are checked against polling ones: a run in which every
-clock re-arms on every one of its ticks, as the clocks did before they
-could sleep, gives the same records plus the scheduler's demand offers and
-control messages at ticks when its core held no job and had held none the
-tick before. And a run forked with ``copy.deepcopy`` at any tick finishes
-as a fresh run does, without sharing state with the run it was forked from.
+clock ticks from t = 0 and re-arms on every one of its ticks, as the
+clocks did before they could sleep, gives the same records plus the
+scheduler's demand offers and control messages at ticks when its core held
+no job. So the scheduler speaks at exactly the ticks when its core holds a
+job; a scheduler that judges its work before the slice it names runs, and
+a scheduler's clock armed at t = 0 with no job there, are caught by
+``test_a_scheduler_that_ticks_without_work_is_caught``. And a run forked
+with ``copy.deepcopy`` at any tick finishes as a fresh run does, without
+sharing state with the run it was forked from.
 
 A core runs at most one slice per tick: no core entity writes two
 ``SliceStart`` records at one tick. Nothing in a core guards this; the
@@ -36,6 +40,7 @@ scheduler that skips users with empty slots breaks that property, and
 ``test_a_rotation_that_skips_empty_slots_is_caught`` keeps it caught.
 """
 
+import contextlib
 import copy
 import dataclasses
 from unittest import mock
@@ -47,7 +52,8 @@ from hypothesis import strategies as st
 from reference import FREQ_POOL, oracle_flow_allowed
 from tifcsim.entities import (Clock, JobSpec, Pacer, ReservationScheduler, Scheduler,
                               pacer_period)
-from tifcsim.kernel import TraceKind, trace_to_jsonl
+from tifcsim import scenarios
+from tifcsim.kernel import Engine, TraceKind, trace_to_jsonl
 from tifcsim.labels import INFINITY, Capability, Frequency, Label
 from tifcsim.scenarios import ScenarioConfig, SchedulerSpec, run_scenario, wire
 
@@ -162,16 +168,25 @@ def test_random_topologies_keep_their_promises(cfg, data):
         assert gateway_view(redrawn, first) == gateway_view(trace, first)
 
 
+@contextlib.contextmanager
 def polling():
-    """Patch every clock to wake itself for its next tick whenever a tick
-    put it to sleep, so each clock re-arms on every one of its ticks."""
-    handle = Clock.handle
+    """Patch every clock to be armed at t = 0 as it is added, and to wake
+    itself for its next tick whenever a tick put it to sleep, so each clock
+    ticks on every one of its ticks."""
+    add, handle = Engine.add, Clock.handle
+
+    def armed(self, entity):
+        add(self, entity)
+        if isinstance(entity, Clock):
+            entity.wake(self, 0)
+        return entity
 
     def tick(self, sim):
         handle(self, sim)
         self.wake(sim, self.next_tick(sim.now))
 
-    return mock.patch.object(Clock, "handle", tick)
+    with mock.patch.object(Engine, "add", armed), mock.patch.object(Clock, "handle", tick):
+        yield
 
 
 def is_scheduler_message(record):
@@ -187,9 +202,7 @@ def held_ticks(trace):
             for t in range(r.t, done.get(r.detail["job"], HORIZON) + 1)}
 
 
-@settings(max_examples=100, deadline=None)
-@given(cfg=configs())
-def test_sleeping_clocks_drop_only_idle_scheduler_ticks(cfg):
+def sleeps_exactly_while_idle(cfg):
     trace = run_scenario(cfg).trace
     lines = [r.to_json() for r in trace]
     with polling():
@@ -202,12 +215,54 @@ def test_sleeping_clocks_drop_only_idle_scheduler_ticks(cfg):
             dropped.append(r.to_json())
     assert kept == len(lines)  # the run's records, in order, are the polled run's
     # What is dropped is exactly the scheduler's messages at the ticks when
-    # its core held no job and had held none the tick before; t = 0 stays.
+    # its core held no job.
     held = held_ticks(polled)
-    assert dropped == [r.to_json() for r in polled if is_scheduler_message(r)
-                       and r.t > 0 and not {r.t - 1, r.t} & held]
-    if cfg.scheduler is not None:
-        assert [r.t for r in trace if is_scheduler_message(r)][:3] == [0, 0, 0]
+    assert dropped == [r.to_json() for r in polled
+                       if is_scheduler_message(r) and r.t not in held]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs())
+def test_sleeping_clocks_drop_only_idle_scheduler_ticks(cfg):
+    sleeps_exactly_while_idle(cfg)
+
+
+def judged_before_the_slice():
+    """A planted fault: the scheduler judges its work as its tick begins,
+    before the slice it names runs, so it ticks once more after the last."""
+    def handle(self, sim):
+        user = self.decide(sim)
+        if user is None:
+            return False
+        busy = any(self.core.slots.values())
+        self.send_control(sim, user)
+        return busy
+
+    return mock.patch.object(Scheduler, "handle", handle)
+
+
+def armed_at_zero():
+    """A planted fault: ``wire`` arms the scheduler's clock at t = 0,
+    whether or not a job arrives then."""
+    wire = scenarios.wire
+
+    def armed(cfg):
+        engine, monitor = wire(cfg)
+        if cfg.scheduler is not None:
+            engine.entity("clock_sched").wake(engine, 0)
+        return engine, monitor
+
+    return mock.patch.object(scenarios, "wire", armed)
+
+
+@pytest.mark.parametrize("fault", [judged_before_the_slice, armed_at_zero],
+                         ids=lambda fault: fault.__name__)
+def test_a_scheduler_that_ticks_without_work_is_caught(fault):
+    check = PLANTED(given(cfg=configs(kinds=("reservation", "demand")))(
+        sleeps_exactly_while_idle))
+    with fault():
+        with pytest.raises(AssertionError):
+            check()
 
 
 def controls_follow_the_rotation(cfg):

@@ -1,14 +1,15 @@
-"""Idle time is free: clocks sleep while there is no work.
+"""Idle time is free: a clock ticks at t if and only if its group holds
+work at t.
 
-Every clock, the schedulers', the private cores' and the pacers', stops
-re-arming once its group's work ends and is woken when work arrives, so a
-run's cost and trace do not grow with idle ticks. A scheduler's clock
-ticks once more after its core's last slice: the scheduler judges its work
-as its tick begins, before the slice it names runs, so it still sees that
-last job. A core's slice is never an engine event of its own: its clock or
-its scheduler runs it. Nor is a delivery: every event is a clock tick or a
-job arrival. ``test_random_workloads`` checks the traces against clocks
-that never sleep.
+Every clock, the schedulers', the private cores' and the pacers', starts
+asleep, is woken when work arrives and stops re-arming after the tick that
+ends its group's work, so a run's cost and trace do not grow with idle
+ticks. A scheduler reports whether its core still holds a job after the
+slice it names has run. A core's slice is never an engine event of its
+own: its clock or its scheduler runs it. Nor is a delivery: every event is
+a clock tick or a job arrival, and after ``wire`` only the arrivals are
+pending. ``test_random_workloads`` checks the traces against clocks that
+never sleep.
 """
 
 import dataclasses
@@ -54,22 +55,20 @@ def test_idle_horizon_changes_nothing(name):
 
     # Every clock is asleep once the last delivery's tick has run.
     engine, _ = wire(cfg)
-    last = deliveries(trace)[-1].t
-    engine.run_until(last)
-    if name == "reservation":
-        # Unpaced, the last delivery is at the core's last slice, and the
-        # scheduler's clock ticks once more after it: the scheduler judged
-        # its work as that tick began, before the slice it named ran.
-        clock = engine.entity("clock_sched")
-        assert [(t, handler) for t, _, _, handler, _ in engine._queue] == [
-            (last + 1, clock.handle)]
-        engine.run_until(last + 1)
+    engine.run_until(deliveries(trace)[-1].t)
     assert engine._queue == []
     assert trace_to_jsonl(engine.trace) == trace_to_jsonl(trace)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_no_core_slice_is_an_event_of_its_own(name):
+    cfg = CONFIGS[name]
+    engine, _ = wire(cfg)
+    # After wiring, every clock sleeps: one arrival per job is pending.
+    pending = [handler for _, _, _, handler, _ in engine._queue]
+    assert len(pending) == len(cfg.jobs)
+    assert {h.__func__ for h in pending} == {Gateway.ingress}
+
     schedule, handlers = Engine.schedule, []
 
     def recorded(self, time, handler, *args):
@@ -77,21 +76,21 @@ def test_no_core_slice_is_an_event_of_its_own(name):
         schedule(self, time, handler, *args)
 
     with mock.patch.object(Engine, "schedule", recorded):
-        trace = run_scenario(CONFIGS[name]).trace
+        trace = run_scenario(cfg).trace
     assert any(r.kind is TraceKind.SLICE_START for r in trace)
     # no ComputeCore.handle, and no Gateway.handle either
     assert {h.__func__ for h in handlers} == {Clock.handle, Gateway.ingress}
 
 
-def test_reservation_controls_are_the_busy_ticks_plus_one_trailing_tick():
+def test_reservation_controls_are_exactly_the_busy_ticks():
     # rotation (A, B): t=0 A runs, t=1 B is idle, t=2 B arrives and A
-    # runs, t=3 B runs, t=4 A completes, t=5 B completes, t=6 trails;
-    # t=20 A arrives and completes at once, t=21 trails.
+    # runs, t=3 B runs, t=4 A completes, t=5 B completes and the clock
+    # sleeps; t=20 A arrives and completes at once.
     cfg = build_scenario("reservation", horizon=50, jobs=[
         JobSpec("A", 3, "1", 0), JobSpec("B", 2, "0", 2), JobSpec("A", 1, "1", 20)])
     controls = [(r.t, r.detail["user"]) for r in run_scenario(cfg).trace
                 if r.kind is TraceKind.MSG_SEND and r.detail["msg"].startswith("ctl@")]
-    assert controls == [(t, "AB"[t % 2]) for t in [*range(7), 20, 21]]
+    assert controls == [(t, "AB"[t % 2]) for t in [*range(6), 20]]
 
 
 def test_golden_keeps_the_first_demand_offer():
@@ -111,9 +110,9 @@ def test_arrival_wakes_the_demand_scheduler():
               and r.detail["msg"].startswith("demand@")]
     controls = [r.t for r in trace if r.kind is TraceKind.MSG_SEND
                 and r.detail["msg"].startswith("ctl@")]
-    # the first offer finds no work; the arrival wakes the scheduler, which
-    # offers once more after the job's last slice and then sleeps again
-    assert offers == [0, 50, 51, 52]
+    # nothing is offered before the arrival wakes the scheduler, which
+    # sleeps again after the job's last slice
+    assert offers == [50, 51]
     assert controls == [50, 51]
     assert [r.t for r in deliveries(trace)] == [55]
 
@@ -123,7 +122,7 @@ def test_a_woken_pacer_fires_on_its_next_multiple():
     gw = sim.add(Gateway("A", Monitor()))
     pacer = sim.add(Pacer("A", F15, ("A",), gw))
     clock = sim.add(Clock("clock", [(pacer, ())], 5))
-    sim.schedule(clock.period, clock.handle)
+    clock.wake(sim, clock.period)
     sim.run_until(5)
     assert clock.asleep  # the first tick found nothing to release
     pacer.queue.append(Message("r", Label.parse("{A/A:inf}"), "res_A0"))

@@ -173,13 +173,21 @@ def unmediated_emits(source: str) -> list:
 
 
 def non_clock_schedules(source: str) -> list:
-    """Each ``.schedule(...)`` call inside a class other than ``Clock``."""
-    return [f"line {node.lineno}: {cls.name}"
-            for cls in ast.walk(ast.parse(source))
-            if isinstance(cls, ast.ClassDef) and cls.name != "Clock"
-            for node in ast.walk(cls)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "schedule"]
+    """Each ``.schedule(...)`` call outside class ``Clock`` whose handler
+    is not an ``.ingress``, named by its top-level class or function: only
+    a clock arms a tick, and everything else schedules job arrivals."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef) and top.name == "Clock":
+            continue
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "schedule"):
+                continue
+            handler = node.args[1] if len(node.args) > 1 else None
+            if not (isinstance(handler, ast.Attribute) and handler.attr == "ingress"):
+                found.append((node.lineno, getattr(top, "name", "<module>")))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
 # What the reservation rotation may read: the time and the rotation.
@@ -334,9 +342,11 @@ def test_rearm_checker_flags_a_member_scheduling_its_own_tick():
                "class Pacer(Entity):\n"
                "    def handle(self, sim):\n"
                "        sim.schedule(sim.now, self.downstream.handle, 'm')\n"
-               "def wire(engine, clock):\n"
-               "    engine.schedule(0, clock.handle)\n")
-    assert non_clock_schedules(planted) == ["line 7: Sleeper", "line 10: Pacer"]
+               "def wire(engine, clock, gateway, spec):\n"
+               "    engine.schedule(0, clock.handle)\n"
+               "    engine.schedule(spec.arrival, gateway.ingress, spec, 'A0')\n")
+    assert non_clock_schedules(planted) == [
+        "line 7: Sleeper", "line 10: Pacer", "line 12: wire"]
 
 
 def test_rotation_checker_flags_a_scheduler_that_reads_demand():
