@@ -165,7 +165,7 @@ class Gateway(Entity):
         core's clock, whose tick at this time runs after every arrival."""
         job = Job(job_id, spec.owner, spec.work, spec.payload, self.stamp)
         sim.emit(TraceKind.JOB_ARRIVE, self.id, label=job.label,
-                 job=job.job_id, owner=job.owner, work=job.work)
+                 job=job.job_id, owner=job.owner, work=str(job.work))
         if self.monitor.send(sim, self, self.core, job.label, f"job_{job_id}",
                              received={"owner": job.owner}).allowed:
             self.core.slots[job.owner].append(job)
@@ -230,18 +230,17 @@ class ComputeCore(Entity):
             self._tainted[user] = len(queue)
 
     def handle(self, sim: Engine, user: str) -> bool:
-        """Run one slice of ``user``'s work, if ``user`` has a job; whether
-        ``user`` still has one queued, which keeps the private cores' clock
-        ticking."""
+        """Run one slice of ``user``'s work, if ``user`` has a job, and write
+        its one ``SliceStart``, whose ``remaining`` is the work left before
+        it; whether ``user`` still has one queued, which keeps the private
+        cores' clock ticking."""
         queue = self.slots[user]
         if not queue:
             return False
         job = queue[0]
         sim.emit(TraceKind.SLICE_START, self.id, label=job.label,
-                 job=job.job_id, owner=user, remaining=job.remaining)
+                 job=job.job_id, owner=user, remaining=str(job.remaining))
         job.remaining -= 1
-        sim.emit(TraceKind.SLICE_END, self.id, label=job.label,
-                 job=job.job_id, owner=user, remaining=job.remaining)
         if job.remaining == 0:
             queue.popleft()
             self._tainted[user] = max(self._tainted[user] - 1, 0)
@@ -255,7 +254,7 @@ class ComputeCore(Entity):
         target = self.routes[user]
         if isinstance(target, Pacer):
             if self.monitor.send(sim, self, target, msg.label, msg.msg_id,
-                                 received={"queued": len(target.queue) + 1}).allowed:
+                                 received={"queued": str(len(target.queue) + 1)}).allowed:
                 target.queue.append(msg)
                 target.clock.wake(sim, target.clock.next_tick(sim.now))
         else:
@@ -299,7 +298,7 @@ class Pacer(Entity):
             msg = self.queue.popleft()
             released = dataclasses.replace(msg, label=msg.label.pace_down(self.freq))
             sim.emit(TraceKind.PACER_RELEASE, self.id, label=released.label,
-                     msg=released.msg_id, queued=len(self.queue))
+                     msg=released.msg_id, queued=str(len(self.queue)))
             self.downstream.handle(sim, released)
         return bool(self.queue)
 

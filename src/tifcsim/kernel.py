@@ -15,8 +15,9 @@ Events of one ``(time, phase)`` on distinct entities commute: in any order
 that keeps each entity's own events in ``seq`` order, every gateway sees the
 same records and every entity emits the same multiset of records.
 
-A record has one canonical JSONL line, ``json.dumps(obj, sort_keys=True,
-separators=(",", ":"))`` of its five fields; its detail values are strings.
+A record has five fields, a label on every record, string detail values and
+one canonical JSONL line, ``json.dumps(obj, sort_keys=True, separators=(",",
+":"))``. A slice is one tick and writes one ``SliceStart`` record.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum, IntEnum
 from itertools import count
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
+from typing import Callable, Dict, List, Mapping, NamedTuple
 
 from .labels import Label
 
@@ -61,7 +62,6 @@ class Phase(IntEnum):
 class TraceKind(str, Enum):
     JOB_ARRIVE = "JobArrive"
     SLICE_START = "SliceStart"
-    SLICE_END = "SliceEnd"
     JOB_COMPLETE = "JobComplete"
     MSG_SEND = "MsgSend"
     MSG_RECV = "MsgRecv"
@@ -77,19 +77,19 @@ _KIND_JSON = {kind: f',"kind":{_quote(kind.value)},"label":' for kind in TraceKi
 
 class TraceRecord(NamedTuple):
     """One observable event, immutable; the unit of every assertion and diff.
-    ``detail`` maps strings to strings; ``to_json`` writes the canonical line."""
+    ``t >= 0``; every record has a ``label``; ``detail`` maps strings to
+    strings; ``to_json`` writes the canonical line."""
 
     t: int
     kind: TraceKind
     entity: str
-    label: Optional[Label] = None
+    label: Label
     detail: Mapping[str, str] = MappingProxyType({})
 
     def to_json(self) -> str:
         detail = ",".join([f"{_quote(k)}:{_quote(v)}" for k, v in sorted(self.detail.items())])
-        label = "null" if self.label is None else _quote(str(self.label))
         return (f'{{"detail":{{{detail}}},"entity":{_quote(self.entity)}'
-                f'{_KIND_JSON[self.kind]}{label},"t":{self.t}}}')
+                f'{_KIND_JSON[self.kind]}{_quote(str(self.label))},"t":{self.t}}}')
 
     @classmethod
     def from_json(cls, line: str) -> "TraceRecord":
@@ -98,10 +98,10 @@ class TraceRecord(NamedTuple):
             obj = json.loads(line)
             t, kind, entity, label, detail = (obj["t"], _KINDS[obj["kind"]], obj["entity"],
                                               obj["label"], obj["detail"])
-            if (len(obj) == 5 and type(t) is int and type(entity) is str
-                    and (label is None or type(label) is str) and type(detail) is dict
+            if (len(obj) == 5 and type(t) is int and t >= 0 and type(entity) is str
+                    and type(label) is str and type(detail) is dict
                     and all(type(v) is str for v in detail.values())):
-                return cls(t, kind, entity, None if label is None else Label.parse(label), detail)
+                return cls(t, kind, entity, Label.parse(label), detail)
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"not a trace record: {line!r}") from exc
         raise ValueError(f"not a trace record: {line!r}")
@@ -157,11 +157,8 @@ class Engine:
             raise SchedulingError(f"{handler!r} is not a method of an added entity")
         heapq.heappush(self._queue, (time, target.phase, next(self._seq), handler, args))
 
-    def emit(self, kind: TraceKind, entity: str, label: Optional[Label] = None,
-             **detail: object) -> TraceRecord:
-        for key, value in detail.items():  # ``detail`` is this call's own dict
-            if type(value) is not str:
-                detail[key] = str(value)
+    def emit(self, kind: TraceKind, entity: str, label: Label, **detail: str) -> TraceRecord:
+        """Append and return a record at now; ``detail`` is this call's own dict."""
         record = TraceRecord(self._now, kind, entity, label, detail)
         self.trace.append(record)
         return record

@@ -79,7 +79,7 @@ class Monitor:
         caps: CapabilitySet,
         dst_label: Label,
         msg: str,
-        **received: object,
+        **received: str,
     ) -> FlowDecision:
         """Check src->dst and emit a MonitorAllow/MonitorDeny record at
         ``at`` (the enforcing entity); on allow, also the MsgRecv there,
@@ -104,8 +104,8 @@ class Monitor:
         return decision
 
     def send(self, sim: Engine, src: Entity, dst: Entity, label: Label, msg: str,
-             sent: Optional[Mapping[str, object]] = None,
-             received: Optional[Mapping[str, object]] = None) -> FlowDecision:
+             sent: Optional[Mapping[str, str]] = None,
+             received: Optional[Mapping[str, str]] = None) -> FlowDecision:
         """Mediate one message: MsgSend at ``src``, then ``decide`` at
         ``dst`` against ``dst.clearance`` with no capabilities, which writes
         the decision and the MsgRecv it allows. ``sent`` and ``received``

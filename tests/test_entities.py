@@ -113,7 +113,7 @@ def test_control_taint_is_timing_only_and_recorded():
     assert [(r.kind, r.entity) for r in trace] == [
         (TraceKind.MSG_SEND, "sched"), (TraceKind.MONITOR_ALLOW, "core"),
         (TraceKind.MSG_RECV, "core"), (TraceKind.LABEL_CHANGE, "core"),
-        (TraceKind.SLICE_START, "core"), (TraceKind.SLICE_END, "core")]
+        (TraceKind.SLICE_START, "core")]
     assert trace[2].detail == {"msg": "ctl@0", "user": "A"}
     assert trace[3].label == j.label
     assert trace[4].detail["owner"] == "A"  # the named user's slice runs

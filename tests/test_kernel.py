@@ -17,6 +17,7 @@ from tifcsim.kernel import (
 )
 from tifcsim.labels import Label
 
+LABEL = Label.parse("{A/A:inf}")
 
 class Probe(Entity):
     """Records its activations and optionally re-schedules."""
@@ -30,7 +31,7 @@ class Probe(Entity):
 
     def handle(self, sim, *args):
         self.seen.append((sim.now, args))
-        sim.emit(TraceKind.MSG_RECV, self.id, msg=str(args[0]))
+        sim.emit(TraceKind.MSG_RECV, self.id, LABEL, msg=str(args[0]))
         for delay, next_args in self.plan.get(args[0], ()):
             sim.schedule(sim.now + delay, self.handle, *next_args)
 
@@ -153,13 +154,8 @@ def test_record_json_roundtrip():
     assert obj["label"] == "{A/A:1/5}"
 
 
-def test_record_json_no_label():
-    rec = TraceRecord(0, TraceKind.MSG_SEND, "core")
-    assert TraceRecord.from_json(rec.to_json()) == rec
-
-
 def test_records_are_immutable():
-    rec = TraceRecord(0, TraceKind.MSG_SEND, "core")
+    rec = TraceRecord(0, TraceKind.MSG_SEND, "core", LABEL)
     with pytest.raises(AttributeError):
         rec.t = 1
     assert rec.detail == {}
@@ -170,17 +166,17 @@ def test_records_are_immutable():
 
 # Any text, with lone surrogates, control characters, quotes and backslashes.
 TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
-LABELS = st.sampled_from([None, *map(Label.parse, ("{-/-}", "{A/A:inf}", "{A,B/A:1/5,B:inf}"))])
+LABELS = st.sampled_from([*map(Label.parse, ("{-/-}", "{A/A:inf}", "{A,B/A:1/5,B:inf}"))])
 
 
-@given(t=st.integers(), kind=st.sampled_from(TraceKind), entity=TEXT, label=LABELS,
+@given(t=st.integers(min_value=0), kind=st.sampled_from(TraceKind), entity=TEXT, label=LABELS,
        detail=st.dictionaries(TEXT, TEXT, max_size=4))
-@example(t=0, kind=TraceKind.MSG_SEND, entity='"\\', label=None,
+@example(t=0, kind=TraceKind.MSG_SEND, entity='"\\', label=Label.parse("{-/-}"),
          detail={"\ud800": "\x00\x1f\u00e9\U0001f600", '"': "\\"})
 def test_to_json_is_sorted_compact_json_dumps(t, kind, entity, label, detail):
     rec = TraceRecord(t, kind, entity, label, detail)
     obj = {"t": t, "kind": kind.value, "entity": entity,
-           "label": None if label is None else str(label), "detail": detail}
+           "label": str(label), "detail": detail}
     assert rec.to_json() == json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert TraceRecord.from_json(rec.to_json()) == rec
 
@@ -195,16 +191,16 @@ def planted(**changes):
 
 
 @pytest.mark.parametrize("line", [
-    planted(t=1.5), planted(t="3"), planted(t=True),
-    planted(kind="Nope"), planted(kind=4),
+    planted(t=1.5), planted(t="3"), planted(t=True), planted(t=-7),
+    planted(kind="Nope"), planted(kind=4), planted(kind="SliceEnd"),
     planted(entity=5), planted(entity=None),
-    planted(label=5), planted(label=["{A/A:inf}"]), planted(label="{A"),
+    planted(label=None), planted(label=5), planted(label=["{A/A:inf}"]), planted(label="{A"),
     planted(label="{-/A:\u0661/\u0665}"), planted(label="{B,A/-}"),
     planted(detail={"work": 4}), planted(detail=["m"]), planted(detail=None),
     "[1, 2]", '"core"', "null", "{not json",
     planted(detail=...), planted(label=...), planted(t=...), planted(extra="x"),
-], ids=["t-float", "t-str", "t-bool", "kind-unknown", "kind-int", "entity-int",
-        "entity-null", "label-int", "label-list", "label-unparsable", "label-non-ascii-digits",
+], ids=["t-float", "t-str", "t-bool", "t-negative", "kind-unknown", "kind-int",
+        "kind-slice-end", "entity-int", "entity-null", "label-null", "label-int", "label-list", "label-unparsable", "label-non-ascii-digits",
         "label-not-canonical", "detail-int-value", "detail-list", "detail-null", "list",
         "string", "null", "not-json",
         "no-detail", "no-label", "no-t", "extra-key"])
@@ -217,21 +213,17 @@ def test_from_json_rejects_lines_outside_the_schema(line):
         trace_from_jsonl(planted() + "\n" + line + "\n")
 
 
-class Tag(str):
-    """A ``str`` subclass, which ``emit`` stores as a plain ``str``."""
-
-
-def test_detail_values_stringified():
+def test_emit_keeps_its_detail_in_a_dict_of_its_own():
     sim = Engine()
     p = sim.add(Probe("p"))
     sim.schedule(0, p.handle, "x")
     sim.run_until(0)
-    d = {"job": "A0", "remaining": 3, "owner": Tag("A")}
-    rec = sim.emit(TraceKind.SLICE_START, "core", **d)
-    assert rec.detail == {"job": "A0", "remaining": "3", "owner": "A"}
-    assert type(rec.detail["owner"]) is str
+    d = {"job": "A0", "remaining": "3", "owner": "A"}
+    rec = sim.emit(TraceKind.SLICE_START, "core", LABEL, **d)
+    assert rec == TraceRecord(0, TraceKind.SLICE_START, "core", LABEL, d)
+    assert sim.trace[-1] is rec
     d["job"] = "B1"
-    assert rec.detail["job"] == "A0" and d["remaining"] == 3
+    assert rec.detail["job"] == "A0" and rec.detail is not d
 
 
 def test_jsonl_helpers_roundtrip():
@@ -245,9 +237,9 @@ def test_jsonl_helpers_roundtrip():
 @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
 def test_jsonl_lines_end_at_newline_only(sep):
     # JSON allows these raw inside a string; str.splitlines would split there.
-    rec = TraceRecord(0, TraceKind.MSG_RECV, "gw_A", detail={"payload": f"a{sep}b"})
+    rec = TraceRecord(0, TraceKind.MSG_RECV, "gw_A", LABEL, {"payload": f"a{sep}b"})
     raw = json.dumps({"detail": dict(rec.detail), "entity": rec.entity, "kind": rec.kind.value,
-                      "label": None, "t": 0}, ensure_ascii=False)
+                      "label": str(LABEL), "t": 0}, ensure_ascii=False)
     assert sep in raw
     assert trace_from_jsonl(raw + "\n" + raw) == [rec, rec]
     assert trace_from_jsonl(trace_to_jsonl([rec])) == [rec]

@@ -186,7 +186,7 @@ def test_send_allowed_records_send_decision_receive():
     dst = sim.add(Node("dst", Label.parse("{A/A:inf}")))
     label = Label.parse("{A/A:inf}")
     d = Monitor().send(sim, src, dst, label, "m0", sent={"user": "A"},
-                       received={"queued": 1})
+                       received={"queued": "1"})
     assert d.allowed
     assert kinds_at(sim.trace) == [(TraceKind.MSG_SEND, "src"),
                                    (TraceKind.MONITOR_ALLOW, "dst"),

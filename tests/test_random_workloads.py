@@ -34,6 +34,14 @@ clocks and the scheduler call each core once per tick, and a scheduler
 that runs the slice it names twice is caught by
 ``test_a_core_that_runs_two_slices_in_a_tick_is_caught``.
 
+A slice is one ``SliceStart`` record, whose ``remaining`` is the work left
+before it, so the records account for every unit of work: each job's
+``SliceStart`` records read ``remaining`` = work, work - 1, ... at strictly
+increasing ticks, at most work of them, and the job's ``JobComplete`` exists
+exactly when one reads ``"1"``, at that tick. A core that charges two units
+of work in a slice is caught by ``test_a_core_that_miscounts_work_is_caught``.
+Every record carries a ``Label``, and every detail value is a ``str``.
+
 The reservation scheduler is blind to demand: every control message it
 sends at tick t names ``rotation[t % n]``, whatever the workload. A
 scheduler that skips users with empty slots breaks that property, and
@@ -50,8 +58,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from reference import FREQ_POOL, oracle_flow_allowed
-from tifcsim.entities import (Clock, JobSpec, Pacer, ReservationScheduler, Scheduler,
-                              pacer_period)
+from tifcsim.entities import (Clock, ComputeCore, JobSpec, Pacer, ReservationScheduler,
+                              Scheduler, pacer_period)
 from tifcsim import scenarios
 from tifcsim.kernel import Engine, TraceKind, trace_to_jsonl
 from tifcsim.labels import INFINITY, Capability, Frequency, Label
@@ -129,6 +137,31 @@ def one_slice_per_core_per_tick(trace):
     assert len(set(starts)) == len(starts), f"two slices in one tick: {starts}"
 
 
+def slices_count_down_the_work(trace):
+    """Each job's ``SliceStart`` records read ``remaining`` = work, work - 1,
+    ... at strictly increasing ticks, at most work of them; its
+    ``JobComplete`` exists exactly when one reads ``"1"``, at that tick."""
+    work = {r.detail["job"]: int(r.detail["work"])
+            for r in trace if r.kind is TraceKind.JOB_ARRIVE}
+    slices = {job: [] for job in work}
+    done = {}
+    for r in trace:
+        if r.kind is TraceKind.SLICE_START:
+            slices[r.detail["job"]].append((r.t, r.detail["remaining"]))
+        elif r.kind is TraceKind.JOB_COMPLETE:
+            assert r.detail["job"] not in done, f"completed twice: {r}"
+            done[r.detail["job"]] = r.t
+    for job, w in work.items():
+        ticks = [t for t, _ in slices[job]]
+        read = [remaining for _, remaining in slices[job]]
+        assert len(read) <= w and read == [str(w - i) for i in range(len(read))], \
+            f"work miscounted: {job} of work {w} read {read}"
+        assert ticks == sorted(set(ticks)), f"slices out of order: {job} at {ticks}"
+        last = [t for t, remaining in slices[job] if remaining == "1"]
+        assert done.get(job) == (last[0] if last else None), \
+            f"work miscounted: {job} completed at {done.get(job)}, last slice {last}"
+
+
 # Reproducible and cheap: fixed examples, no database, no shrinking.
 PLANTED = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                    phases=(Phase.explicit, Phase.generate))
@@ -139,6 +172,10 @@ PLANTED = settings(max_examples=100, deadline=None, derandomize=True, database=N
 def test_random_topologies_keep_their_promises(cfg, data):
     trace = run_scenario(cfg).trace
 
+    for r in trace:
+        assert isinstance(r.label, Label), r
+        assert all(type(v) is str for v in r.detail.values()), r
+
     for user in cfg.users:
         stamp = Label((user,), {user: INFINITY})
         grants = list(cfg.grants[user])
@@ -148,6 +185,8 @@ def test_random_topologies_keep_their_promises(cfg, data):
                 assert oracle_flow_allowed(r.label, grants, stamp) is allowed, r
 
     one_slice_per_core_per_tick(trace)
+
+    slices_count_down_the_work(trace)
 
     completely_mediated(trace)
 
@@ -313,6 +352,31 @@ def test_a_core_that_runs_two_slices_in_a_tick_is_caught():
         runs_one_slice_per_tick))
     with slices_twice():
         with pytest.raises(AssertionError, match="two slices in one tick"):
+            check()
+
+
+def charges_two_units():
+    """A planted fault: a slice charges two units of its job's work where
+    two are left, one of them before its record is written."""
+    handle = ComputeCore.handle
+
+    def charge(self, sim, user):
+        queue = self.slots[user]
+        if queue and queue[0].remaining > 1:
+            queue[0].remaining -= 1
+        return handle(self, sim, user)
+
+    return mock.patch.object(ComputeCore, "handle", charge)
+
+
+def runs_count_down_the_work(cfg):
+    slices_count_down_the_work(run_scenario(cfg).trace)
+
+
+def test_a_core_that_miscounts_work_is_caught():
+    check = PLANTED(given(cfg=configs())(runs_count_down_the_work))
+    with charges_two_units():
+        with pytest.raises(AssertionError, match="work miscounted"):
             check()
 
 
