@@ -24,7 +24,6 @@ which is what the labels track.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -296,7 +295,7 @@ class Pacer(Entity):
         downgraded timing tags; whether a message is still queued."""
         if self.queue:
             msg = self.queue.popleft()
-            released = dataclasses.replace(msg, label=msg.label.pace_down(self.freq))
+            released = Message(msg.payload, msg.label.pace_down(self.freq), msg.msg_id)
             sim.emit(TraceKind.PACER_RELEASE, self.id, label=released.label,
                      msg=released.msg_id, queued=str(len(self.queue)))
             self.downstream.handle(sim, released)

@@ -73,6 +73,9 @@ class TraceKind(str, Enum):
 
 _KINDS = {kind.value: kind for kind in TraceKind}
 _KIND_JSON = {kind: f',"kind":{_quote(kind.value)},"label":' for kind in TraceKind}
+# ``from_json`` strips JSON whitespace, then one scanner call must consume
+# the rest: exactly the lines ``json.loads`` accepts, without its regexes.
+_scan = json.JSONDecoder().raw_decode
 
 
 class TraceRecord(NamedTuple):
@@ -95,11 +98,12 @@ class TraceRecord(NamedTuple):
     def from_json(cls, line: str) -> "TraceRecord":
         """Inverse of ``to_json``; ValueError, quoting ``line``, if it is not a record."""
         try:
-            obj = json.loads(line)
+            text = line.strip(" \t\n\r")
+            obj, end = _scan(text)
             t, kind, entity, label, detail = (obj["t"], _KINDS[obj["kind"]], obj["entity"],
                                               obj["label"], obj["detail"])
-            if (len(obj) == 5 and type(t) is int and t >= 0 and type(entity) is str
-                    and type(label) is str and type(detail) is dict
+            if (end == len(text) and len(obj) == 5 and type(t) is int and t >= 0
+                    and type(entity) is str and type(label) is str and type(detail) is dict
                     and all(type(v) is str for v in detail.values())):
                 return cls(t, kind, entity, Label.parse(label), detail)
         except (ValueError, KeyError, TypeError) as exc:

@@ -16,8 +16,9 @@ whose limit is infinite as content.
 The flow order, join, declassification and the pacing downgrade defined here
 are pure functions over immutable values, safe to share freely. Because
 they are pure, work on a label is done once per fact: a label computes its
-``str`` once per instance, and ``Label.parse`` is memoized in a bounded
-cache of ``PARSE_CACHE_SIZE`` entries, so repeated text parses once.
+``str`` once per instance, and ``Label.parse`` and ``Label.pace_down`` are
+each memoized in a bounded cache of ``CACHE_SIZE`` entries, so repeated text
+parses once and each label is paced down once per rate.
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ class Frequency:
 INFINITY = Frequency(1, 0)
 ZERO = Frequency(0)
 
-# Entries in the ``Label.parse`` memo; a constant, so memory stays bounded.
-PARSE_CACHE_SIZE = 1024
+# Entries in each of the ``Label.parse`` and ``Label.pace_down`` memos; a
+# constant, so memory stays bounded.
+CACHE_SIZE = 1024
 
 # Tag ids must stay clear of the label grammar's punctuation.
 TAG_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -204,6 +206,7 @@ class Label:
             timing[user] = INFINITY
         return Label((), timing)
 
+    @functools.lru_cache(maxsize=CACHE_SIZE)
     def pace_down(self, limit: Frequency) -> "Label":
         """Cap every timing entry at ``limit`` (the pacer downgrade).
 
@@ -229,7 +232,7 @@ class Label:
         return self._str
 
     @classmethod
-    @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+    @functools.lru_cache(maxsize=CACHE_SIZE)
     def parse(cls, text: str) -> "Label":
         """Inverse of ``str``: only the canonical spelling parses (sorted
         tags, each once, frequencies in lowest terms). Raises

@@ -11,9 +11,10 @@ computes.
 ``Monitor.send`` is the one checked send between entities; only the
 customer-facing gateway egress decides with capabilities of its own.
 
-``check_send`` is pure over immutable, hashable values and a run asks it
-the same few questions every tick, so it is memoized in a bounded cache of
-``CHECK_CACHE_SIZE`` entries: each distinct flow is decided once.
+``check_send`` and ``apply_receive`` are pure over immutable, hashable
+values, and a run asks them the same few questions every tick, so each is
+memoized in a bounded cache of ``CHECK_CACHE_SIZE`` entries: each distinct
+flow is decided once, and each distinct receive taint is built once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .kernel import Engine, Entity, MonitorFault, TraceKind
 from .labels import EMPTY_CAPS, CapabilitySet, Label
 
 
-# Entries in the ``check_send`` memo; a constant, so memory stays bounded.
+# Entries in each of the ``check_send`` and ``apply_receive`` memos; a
+# constant, so memory stays bounded.
 CHECK_CACHE_SIZE = 1024
 
 
@@ -58,6 +60,7 @@ def check_send(src_label: Label, caps: CapabilitySet, dst_label: Label) -> FlowD
     return FlowDecision(effective, tuple(sorted(blocked)))
 
 
+@functools.lru_cache(maxsize=CHECK_CACHE_SIZE)
 def apply_receive(receiver: Label, msg_label: Label) -> Label:
     """Receiver's label after accepting a timing-only message."""
     return receiver.join(msg_label.lift_to_timing())

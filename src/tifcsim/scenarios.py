@@ -362,11 +362,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
 
 def boundary_records(trace: Sequence[TraceRecord], user: str) -> List[TraceRecord]:
     """Deliveries visible to ``user`` at their gateway."""
-    return [
-        r
-        for r in trace
-        if r.kind is TraceKind.MSG_RECV and r.entity == f"gw_{user}"
-    ]
+    gateway = f"gw_{user}"
+    return [r for r in trace if r.kind is TraceKind.MSG_RECV and r.entity == gateway]
 
 
 @dataclass(frozen=True)

@@ -199,11 +199,13 @@ def planted(**changes):
     planted(detail={"work": 4}), planted(detail=["m"]), planted(detail=None),
     "[1, 2]", '"core"', "null", "{not json",
     planted(detail=...), planted(label=...), planted(t=...), planted(extra="x"),
+    planted() + " x", planted() + planted(), "\ufeff" + planted(), "\x0b" + planted(),
 ], ids=["t-float", "t-str", "t-bool", "t-negative", "kind-unknown", "kind-int",
         "kind-slice-end", "entity-int", "entity-null", "label-null", "label-int", "label-list", "label-unparsable", "label-non-ascii-digits",
         "label-not-canonical", "detail-int-value", "detail-list", "detail-null", "list",
         "string", "null", "not-json",
-        "no-detail", "no-label", "no-t", "extra-key"])
+        "no-detail", "no-label", "no-t", "extra-key",
+        "trailing-text", "two-records", "leading-bom", "leading-vertical-tab"])
 def test_from_json_rejects_lines_outside_the_schema(line):
     assert TraceRecord.from_json(planted()).to_json() == planted()
     with pytest.raises(ValueError, match="not a trace record") as err:
@@ -211,6 +213,45 @@ def test_from_json_rejects_lines_outside_the_schema(line):
     assert repr(line) in str(err.value)
     with pytest.raises(ValueError):
         trace_from_jsonl(planted() + "\n" + line + "\n")
+
+
+def test_json_whitespace_around_a_record_is_ignored():
+    rec = TraceRecord.from_json(planted())
+    assert TraceRecord.from_json(" " + planted() + "\t\r") == rec
+    plain = planted() + "\n" + planted(t=4) + "\n"
+    assert trace_from_jsonl(plain.replace("\n", "\r\n")) == trace_from_jsonl(plain)
+
+
+def loads_reference(line, rec):
+    """What ``from_json(line)`` should give, by ``json.loads``: ``rec`` if
+    the line decodes to ``rec``'s object, else None (rejected)."""
+    try:
+        return rec if json.loads(line) == json.loads(rec.to_json()) else None
+    except ValueError:
+        return None
+
+
+# Whitespace JSON skips, whitespace it does not, and text that is not JSON.
+AFFIX = st.text(st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x0c", "\xa0", "\ufeff",
+                                 "\u2028", "x", "}", "{", ",", "0", '"']), max_size=4)
+
+
+@given(t=st.integers(min_value=0), kind=st.sampled_from(TraceKind), entity=TEXT, label=LABELS,
+       detail=st.dictionaries(TEXT, TEXT, max_size=2), prefix=AFFIX, suffix=AFFIX)
+@example(t=3, kind=TraceKind.MSG_SEND, entity="core", label=LABEL, detail={},
+         prefix=" \t", suffix="\r\n")
+@example(t=3, kind=TraceKind.MSG_SEND, entity="core", label=LABEL, detail={},
+         prefix="", suffix=" x")
+def test_from_json_accepts_exactly_what_json_loads_accepts(t, kind, entity, label, detail,
+                                                          prefix, suffix):
+    rec = TraceRecord(t, kind, entity, label, detail)
+    line = prefix + rec.to_json() + suffix
+    expected = loads_reference(line, rec)
+    if expected is None:
+        with pytest.raises(ValueError, match="not a trace record"):
+            TraceRecord.from_json(line)
+    else:
+        assert TraceRecord.from_json(line) == expected
 
 
 def test_emit_keeps_its_detail_in_a_dict_of_its_own():
