@@ -17,7 +17,8 @@ same records and every entity emits the same multiset of records.
 
 A record has five fields, a label on every record, string detail values and
 one canonical JSONL line, ``json.dumps(obj, sort_keys=True, separators=(",",
-":"))``. A slice is one tick and writes one ``SliceStart`` record.
+":"))``. A slice is one tick and writes one ``SliceStart`` record; the
+monitor writes the delivery it allows, or the denial with its residual.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class TraceKind(str, Enum):
     MSG_SEND = "MsgSend"
     MSG_RECV = "MsgRecv"
     PACER_RELEASE = "PacerRelease"
-    MONITOR_ALLOW = "MonitorAllow"
     MONITOR_DENY = "MonitorDeny"
     LABEL_CHANGE = "LabelChange"
 
@@ -183,7 +183,7 @@ def trace_to_jsonl(records) -> str:
 
 
 def trace_from_jsonl(text: str) -> List[TraceRecord]:
-    """Records of the non-blank lines of ``text``; ValueError on any other.
-    Lines end at ``\\n`` only: JSON strings may hold U+2028, U+2029 and
-    U+0085 raw, which ``str.splitlines`` would also split on."""
-    return [TraceRecord.from_json(line) for line in text.split("\n") if line.strip()]
+    """Records of the lines of ``text`` that are not JSON whitespace alone;
+    ValueError on any other. Lines end at ``\\n`` only: JSON strings may hold
+    U+2028, U+2029 and U+0085 raw, which ``str.splitlines`` would split on."""
+    return [TraceRecord.from_json(line) for line in text.split("\n") if line.strip(" \t\r")]

@@ -7,8 +7,8 @@ timing-only: scheduler control joins into a job's label only in its lifted
 (pure-timing) form, so control can taint when a job runs but never what it
 computes.
 
-``Monitor.decide`` writes every decision and the delivery it allows.
-``Monitor.send`` is the one checked send between entities; only the
+``Monitor.decide`` writes the delivery it allows, or the denial with its
+residual. ``Monitor.send`` is the one checked send between entities; only the
 customer-facing gateway egress decides with capabilities of its own.
 
 ``check_send`` and ``apply_receive`` are pure over immutable, hashable
@@ -84,13 +84,15 @@ class Monitor:
         msg: str,
         **received: str,
     ) -> FlowDecision:
-        """Check src->dst and emit a MonitorAllow/MonitorDeny record at
-        ``at`` (the enforcing entity); on allow, also the MsgRecv there,
-        with ``received`` as its detail. Fatal mode raises on deny."""
+        """Check src->dst and write one record at ``at`` (the enforcing
+        entity): on allow, the MsgRecv, with ``received`` as its detail; on
+        deny, the MonitorDeny with its residual. Fatal mode raises on deny."""
         decision = check_send(src_label, caps, dst_label)
-        kind = TraceKind.MONITOR_ALLOW if decision.allowed else TraceKind.MONITOR_DENY
+        if decision.allowed:
+            sim.emit(TraceKind.MSG_RECV, at, label=src_label, msg=msg, **received)
+            return decision
         record = sim.emit(
-            kind,
+            TraceKind.MONITOR_DENY,
             at,
             label=src_label,
             src=src,
@@ -100,9 +102,7 @@ class Monitor:
             residual=",".join(decision.residual),
             msg=msg,
         )
-        if decision.allowed:
-            sim.emit(TraceKind.MSG_RECV, at, label=src_label, msg=msg, **received)
-        elif self.mode is MonitorMode.FATAL:
+        if self.mode is MonitorMode.FATAL:
             raise MonitorFault(f"flow denied at {at}: {record.detail['residual']}", record)
         return decision
 
@@ -111,7 +111,7 @@ class Monitor:
              received: Optional[Mapping[str, str]] = None) -> FlowDecision:
         """Mediate one message: MsgSend at ``src``, then ``decide`` at
         ``dst`` against ``dst.clearance`` with no capabilities, which writes
-        the decision and the MsgRecv it allows. ``sent`` and ``received``
+        the MsgRecv it allows or the MonitorDeny. ``sent`` and ``received``
         add detail to the two records; the caller delivers on allow."""
         sim.emit(TraceKind.MSG_SEND, src.id, label=label, msg=msg, to=dst.id,
                  **(sent or {}))

@@ -258,6 +258,8 @@ CONFIG_ERRORS = [
                  id="expect-occurrence-str"),
     pytest.param("expect", [{"detail": [1], "label": "{-/-}"}], "[0].detail",
                  id="expect-detail-list"),
+    pytest.param("expect", [{"kind": "MonitorAllow", "label": "{-/-}"}], "[0].kind",
+                 id="expect-kind-monitor-allow"),
 ]
 
 

@@ -111,12 +111,11 @@ def test_control_taint_is_timing_only_and_recorded():
     assert j.label == Label.parse("{A/A:inf,B:inf}")
     trace = sim.run_until(0)
     assert [(r.kind, r.entity) for r in trace] == [
-        (TraceKind.MSG_SEND, "sched"), (TraceKind.MONITOR_ALLOW, "core"),
-        (TraceKind.MSG_RECV, "core"), (TraceKind.LABEL_CHANGE, "core"),
-        (TraceKind.SLICE_START, "core")]
-    assert trace[2].detail == {"msg": "ctl@0", "user": "A"}
-    assert trace[3].label == j.label
-    assert trace[4].detail["owner"] == "A"  # the named user's slice runs
+        (TraceKind.MSG_SEND, "sched"), (TraceKind.MSG_RECV, "core"),
+        (TraceKind.LABEL_CHANGE, "core"), (TraceKind.SLICE_START, "core")]
+    assert trace[1].detail == {"msg": "ctl@0", "user": "A"}
+    assert trace[2].label == j.label
+    assert trace[3].detail["owner"] == "A"  # the named user's slice runs
 
 
 # -- taint once ------------------------------------------------------------------
@@ -234,9 +233,8 @@ def test_core_result_enters_pacer_through_checked_send():
     core.handle(sim, "A")
     sends = [r for r in sim.trace if r.detail.get("msg") == "res_A0"]
     assert [(r.kind, r.entity) for r in sends] == [
-        (TraceKind.MSG_SEND, "core"), (TraceKind.MONITOR_ALLOW, "pacer_A"),
-        (TraceKind.MSG_RECV, "pacer_A")]
-    assert sends[2].detail["queued"] == "2"
+        (TraceKind.MSG_SEND, "core"), (TraceKind.MSG_RECV, "pacer_A")]
+    assert sends[1].detail["queued"] == "2"
     assert [m.msg_id for m in pacer.queue] == ["res_X0", "res_A0"]
 
 
@@ -293,8 +291,7 @@ def test_ingress_stamps_owner_label():
     assert j.label == Label.parse("{A/A:inf}")
     trace = sim.run_until(0)
     kinds = [r.kind for r in trace]
-    assert kinds == [TraceKind.JOB_ARRIVE, TraceKind.MSG_SEND,
-                     TraceKind.MONITOR_ALLOW, TraceKind.MSG_RECV]
+    assert kinds == [TraceKind.JOB_ARRIVE, TraceKind.MSG_SEND, TraceKind.MSG_RECV]
     assert core.slots["A"][0] is j
 
 

@@ -193,6 +193,7 @@ def planted(**changes):
 @pytest.mark.parametrize("line", [
     planted(t=1.5), planted(t="3"), planted(t=True), planted(t=-7),
     planted(kind="Nope"), planted(kind=4), planted(kind="SliceEnd"),
+    planted(kind="MonitorAllow"),
     planted(entity=5), planted(entity=None),
     planted(label=None), planted(label=5), planted(label=["{A/A:inf}"]), planted(label="{A"),
     planted(label="{-/A:\u0661/\u0665}"), planted(label="{B,A/-}"),
@@ -201,7 +202,7 @@ def planted(**changes):
     planted(detail=...), planted(label=...), planted(t=...), planted(extra="x"),
     planted() + " x", planted() + planted(), "\ufeff" + planted(), "\x0b" + planted(),
 ], ids=["t-float", "t-str", "t-bool", "t-negative", "kind-unknown", "kind-int",
-        "kind-slice-end", "entity-int", "entity-null", "label-null", "label-int", "label-list", "label-unparsable", "label-non-ascii-digits",
+        "kind-slice-end", "kind-monitor-allow", "entity-int", "entity-null", "label-null", "label-int", "label-list", "label-unparsable", "label-non-ascii-digits",
         "label-not-canonical", "detail-int-value", "detail-list", "detail-null", "list",
         "string", "null", "not-json",
         "no-detail", "no-label", "no-t", "extra-key",
@@ -220,6 +221,20 @@ def test_json_whitespace_around_a_record_is_ignored():
     assert TraceRecord.from_json(" " + planted() + "\t\r") == rec
     plain = planted() + "\n" + planted(t=4) + "\n"
     assert trace_from_jsonl(plain.replace("\n", "\r\n")) == trace_from_jsonl(plain)
+
+
+def test_lines_of_json_whitespace_are_skipped():
+    text = "\n \t\r\n" + planted() + "\n\r\n\t\n \n"
+    assert trace_from_jsonl(text) == [TraceRecord.from_json(planted())]
+
+
+# Whitespace to ``str.strip`` but not to JSON.
+@pytest.mark.parametrize("blank", ["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"],
+                         ids=lambda c: f"U+{ord(c):04X}")
+def test_a_line_of_other_whitespace_is_not_blank(blank):
+    for line in (blank, " " + blank + "\r"):
+        with pytest.raises(ValueError, match="not a trace record"):
+            trace_from_jsonl(planted() + "\n" + line + "\n")
 
 
 def loads_reference(line, rec):

@@ -133,21 +133,22 @@ def test_monitor_records_allow_and_deny():
                   CapabilitySet([Capability("B", F15)]), Label.parse("{A/A:inf}"))
     assert ok.allowed and not bad.allowed
     log = sim.trace  # the trace is the audit log
-    assert [r.kind for r in log] == [TraceKind.MONITOR_ALLOW, TraceKind.MSG_RECV,
-                                     TraceKind.MONITOR_DENY]
-    assert log[2].detail["residual"] == "B:inf"
-    assert [r for r in log if r.kind is TraceKind.MONITOR_DENY] == [log[2]]
+    assert [r.kind for r in log] == [TraceKind.MSG_RECV, TraceKind.MONITOR_DENY]
+    assert log[0].detail == {"msg": "m0"}  # the delivery is the allow
+    assert log[1].detail == {
+        "src": "core", "dst": "user_A", "dst_label": "{A/A:inf}",
+        "effective": "{A/A:inf,B:inf}", "residual": "B:inf", "msg": "m0"}
 
 
 def test_monitor_empty_audit_log():
     # nothing is recorded before a decision, and each allowed decision adds
-    # two records: the decision and the delivery
+    # one record: the delivery
     sim = Engine()
     monitor = Monitor()
     assert sim.trace == []
     for _ in range(3):
         _decide(monitor, sim, EMPTY_LABEL, EMPTY_CAPS, EMPTY_LABEL)
-    assert len(sim.trace) == 6
+    assert [r.kind for r in sim.trace] == [TraceKind.MSG_RECV] * 3
 
 
 def test_fatal_mode_raises_with_record():
@@ -188,14 +189,11 @@ def test_send_allowed_records_send_decision_receive():
     d = Monitor().send(sim, src, dst, label, "m0", sent={"user": "A"},
                        received={"queued": "1"})
     assert d.allowed
-    assert kinds_at(sim.trace) == [(TraceKind.MSG_SEND, "src"),
-                                   (TraceKind.MONITOR_ALLOW, "dst"),
-                                   (TraceKind.MSG_RECV, "dst")]
-    send, allow, recv = sim.trace
+    assert kinds_at(sim.trace) == [(TraceKind.MSG_SEND, "src"), (TraceKind.MSG_RECV, "dst")]
+    send, recv = sim.trace
     assert send.detail == {"msg": "m0", "to": "dst", "user": "A"}
-    assert allow.detail["src"] == "src" and allow.detail["dst_label"] == "{A/A:inf}"
     assert recv.detail == {"msg": "m0", "queued": "1"}
-    assert send.label == allow.label == recv.label == label
+    assert send.label == recv.label == label
 
 
 def test_send_decides_without_capabilities():

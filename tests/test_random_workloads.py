@@ -6,12 +6,15 @@ reservation or demand scheduler, with or without a pacer, and random grants
 and jobs. Every gateway decision is checked against the tag-by-tag oracle
 in ``tests/reference.py``, which reads the grants as a plain list of
 ``Capability`` values, so a run checks ``CapabilitySet`` and
-``check_send`` together. Every delivery directly follows the monitor's
-allow for it, and every allow directly precedes its delivery. Every
-gateway decision directly follows the hand-off of its message, the pacer's
-release or the unpaced core's send, so the tick that releases a result
-delivers it; a pacer that defers the delivery to an event of its own is
-caught by ``test_a_delivery_apart_from_its_release_is_caught``. With a
+``check_send`` together. The monitor writes one record per decision, the
+delivery it allows or the denial, and every send is mediated: each
+``MsgSend`` is directly followed by the decision at its ``to`` for its
+message, and each decision directly follows that send; at a gateway, its
+pacer's release stands in for the send, so the tick that releases a
+result delivers it. A pacer that defers the delivery to an event of its
+own is caught by ``test_a_delivery_apart_from_its_release_is_caught``; a
+monitor that delivers what it denies or records no denial, and a send
+that writes no ``MsgSend``, by ``test_an_unmediated_flow_is_caught``. With a
 pacer, releases and deliveries land on its grid with timing at most its
 frequency. Two runs give the same bytes, and without a demand scheduler
 the first user's gateway records do not change when every other user's
@@ -62,12 +65,13 @@ from tifcsim.entities import (Clock, ComputeCore, JobSpec, Pacer, ReservationSch
                               Scheduler, pacer_period)
 from tifcsim import scenarios
 from tifcsim.kernel import Engine, TraceKind, trace_to_jsonl
-from tifcsim.labels import INFINITY, Capability, Frequency, Label
+from tifcsim.labels import EMPTY_CAPS, INFINITY, Capability, Frequency, Label
+from tifcsim.monitor import Monitor, check_send
 from tifcsim.scenarios import ScenarioConfig, SchedulerSpec, run_scenario, wire
 
 HORIZON = 40
-# The records of a gateway's egress decision, all at the delivery tick.
-EGRESS = (TraceKind.MSG_RECV, TraceKind.MONITOR_ALLOW, TraceKind.MONITOR_DENY)
+# The records of a monitor decision: a delivery is its allow.
+DECISIONS = (TraceKind.MSG_RECV, TraceKind.MONITOR_DENY)
 
 
 def jobs_of(owners):
@@ -92,40 +96,30 @@ def configs(draw, kinds=("private", "reservation", "demand")):
                           jobs=tuple(draw(jobs_of(users))), horizon=HORIZON)
 
 
-def is_delivery(allow, recv):
-    """``recv`` is the MsgRecv that ``allow`` admitted: same entity, tick
-    and msg. Either may be ``None``, past an end of the trace."""
-    return (allow is not None and recv is not None
-            and allow.kind is TraceKind.MONITOR_ALLOW and recv.kind is TraceKind.MSG_RECV
-            and (allow.entity, allow.t, allow.detail["msg"])
-            == (recv.entity, recv.t, recv.detail["msg"]))
-
-
 def is_hand_off(hand_off, decision):
-    """``hand_off`` passes the message that a gateway's ``decision`` is
-    about to that gateway, at the same tick: its pacer's release, or an
-    unpaced core's send."""
-    gateway = decision.entity
-    return (hand_off is not None and hand_off.t == decision.t
+    """``hand_off`` passes the message that ``decision`` is about to the
+    deciding entity, at the same tick: a ``MsgSend`` to it or, at a gateway,
+    its pacer's release. Either may be ``None``, past an end of the trace."""
+    return (hand_off is not None and decision is not None and decision.kind in DECISIONS
+            and hand_off.t == decision.t
             and hand_off.detail.get("msg") == decision.detail["msg"]
-            and ((hand_off.kind is TraceKind.PACER_RELEASE
-                  and hand_off.entity == "pacer_" + gateway[len("gw_"):])
-                 or (hand_off.kind is TraceKind.MSG_SEND
-                     and hand_off.detail.get("to") == gateway)))
+            and ((hand_off.kind is TraceKind.MSG_SEND
+                  and hand_off.detail["to"] == decision.entity)
+                 or (hand_off.kind is TraceKind.PACER_RELEASE
+                     and decision.entity.startswith("gw_")
+                     and hand_off.entity == "pacer_" + decision.entity[len("gw_"):])))
 
 
 def completely_mediated(trace):
-    """Each delivery and its allow are adjacent, and each gateway decision
-    directly follows its message's hand-off."""
-    padded = [None, *trace, None]
-    for before, r, after in zip(padded, padded[1:], padded[2:]):
-        if r.kind is TraceKind.MSG_RECV:
-            assert is_delivery(before, r), r
-        elif r.kind is TraceKind.MONITOR_ALLOW:
-            assert is_delivery(r, after), r
-        if r.kind in (TraceKind.MONITOR_ALLOW, TraceKind.MONITOR_DENY) \
-                and r.entity.startswith("gw_"):
+    """Each decision directly follows its message's hand-off, and each
+    hand-off, a ``MsgSend`` or a pacer's release, is directly followed by
+    the decision at its receiver for its msg."""
+    for before, r in zip([None, *trace], trace):
+        if r.kind in DECISIONS:
             assert is_hand_off(before, r), f"decided apart from its hand-off: {r}"
+    for r, after in zip(trace, [*trace[1:], None]):
+        if r.kind in (TraceKind.MSG_SEND, TraceKind.PACER_RELEASE):
+            assert is_hand_off(r, after), f"handed off without a decision: {r}"
 
 
 def gateway_view(trace, user):
@@ -167,9 +161,7 @@ PLANTED = settings(max_examples=100, deadline=None, derandomize=True, database=N
                    phases=(Phase.explicit, Phase.generate))
 
 
-@settings(max_examples=100, deadline=None)
-@given(cfg=configs(), data=st.data())
-def test_random_topologies_keep_their_promises(cfg, data):
+def keeps_its_promises(cfg, data):
     trace = run_scenario(cfg).trace
 
     for r in trace:
@@ -180,7 +172,7 @@ def test_random_topologies_keep_their_promises(cfg, data):
         stamp = Label((user,), {user: INFINITY})
         grants = list(cfg.grants[user])
         for r in trace:
-            if r.entity == f"gw_{user}" and r.kind in EGRESS:
+            if r.entity == f"gw_{user}" and r.kind in DECISIONS:
                 allowed = r.kind is not TraceKind.MONITOR_DENY
                 assert oracle_flow_allowed(r.label, grants, stamp) is allowed, r
 
@@ -194,7 +186,7 @@ def test_random_topologies_keep_their_promises(cfg, data):
         period = pacer_period(cfg.pacer)
         for r in trace:
             if r.kind is TraceKind.PACER_RELEASE or (
-                    r.kind in EGRESS and r.entity.startswith("gw_")):
+                    r.kind in DECISIONS and r.entity.startswith("gw_")):
                 assert r.t > 0 and r.t % period == 0, r
                 assert all(f <= cfg.pacer for f in r.label.timing.values()), r
 
@@ -205,6 +197,52 @@ def test_random_topologies_keep_their_promises(cfg, data):
         jobs = [j for j in cfg.jobs if j.owner == first] + data.draw(jobs_of(others))
         redrawn = run_scenario(dataclasses.replace(cfg, jobs=tuple(jobs))).trace
         assert gateway_view(redrawn, first) == gateway_view(trace, first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs(), data=st.data())
+def test_random_topologies_keep_their_promises(cfg, data):
+    keeps_its_promises(cfg, data)
+
+
+def delivers_every_verdict():
+    """A planted fault: the monitor writes the delivery whatever its
+    verdict, so a denied flow reads as delivered."""
+    def decide(self, sim, at, src, dst, src_label, caps, dst_label, msg, **received):
+        sim.emit(TraceKind.MSG_RECV, at, label=src_label, msg=msg, **received)
+        return check_send(src_label, caps, dst_label)
+
+    return mock.patch.object(Monitor, "decide", decide)
+
+
+def drops_denials():
+    """A planted fault: the monitor writes no record of a denial."""
+    def decide(self, sim, at, src, dst, src_label, caps, dst_label, msg, **received):
+        decision = check_send(src_label, caps, dst_label)
+        if decision.allowed:
+            sim.emit(TraceKind.MSG_RECV, at, label=src_label, msg=msg, **received)
+        return decision
+
+    return mock.patch.object(Monitor, "decide", decide)
+
+
+def sends_unrecorded():
+    """A planted fault: the checked send decides without its ``MsgSend``."""
+    def send(self, sim, src, dst, label, msg, sent=None, received=None):
+        return self.decide(sim, at=dst.id, src=src.id, dst=dst.id, src_label=label,
+                           caps=EMPTY_CAPS, dst_label=dst.clearance, msg=msg,
+                           **(received or {}))
+
+    return mock.patch.object(Monitor, "send", send)
+
+
+@pytest.mark.parametrize("fault", [delivers_every_verdict, drops_denials, sends_unrecorded],
+                         ids=lambda fault: fault.__name__)
+def test_an_unmediated_flow_is_caught(fault):
+    check = PLANTED(given(cfg=configs(), data=st.data())(keeps_its_promises))
+    with fault():
+        with pytest.raises(AssertionError):
+            check()
 
 
 @contextlib.contextmanager

@@ -96,9 +96,8 @@ def test_reservation_controls_are_exactly_the_busy_ticks():
 def test_golden_keeps_the_first_demand_offer():
     trace = trace_from_jsonl(GOLDEN_STATMUX.read_text(encoding="utf-8"))
     sched = [r for r in trace if "sched" in (r.entity, r.detail.get("to"))]
-    assert [(r.kind, r.entity, r.t, r.detail["msg"]) for r in sched[:3]] == [
+    assert [(r.kind, r.entity, r.t, r.detail["msg"]) for r in sched[:2]] == [
         (TraceKind.MSG_SEND, "core", 0, "demand@0"),
-        (TraceKind.MONITOR_ALLOW, "sched", 0, "demand@0"),
         (TraceKind.MSG_RECV, "sched", 0, "demand@0"),
     ]
 

@@ -13,9 +13,11 @@ or ``SimError`` instead. No regex literal uses ``\\d``, ``\\w``, ``\\s`` or
 non-ASCII text (``\\d`` matches ``\u0661``), so a parser would accept input
 its writer never produces. Outside ``monitor.py``, every ``.emit(...)``
 call names its kind as a literal ``TraceKind.<member>`` other than
-``MSG_RECV``, ``MONITOR_ALLOW`` and ``MONITOR_DENY``: the monitor writes
-every decision and the delivery it allows, so nothing is delivered that it
-did not allow. No class other than ``Clock`` calls ``.schedule(...)``: every
+``MSG_RECV`` and ``MONITOR_DENY``: the monitor writes the delivery it
+allows, or the denial with its residual, so nothing is delivered that it
+did not allow. Every ``TraceKind`` member is the literal kind of some
+``.emit(...)`` call, so no record kind outlives the code that wrote it.
+No class other than ``Clock`` calls ``.schedule(...)``: every
 engine event is an arrival, which ``scenarios.wire`` schedules, or a clock
 tick, so a delivery runs inside the tick that releases it and whether a
 group sleeps is decided in one place.
@@ -151,25 +153,42 @@ def unicode_regex_classes(source: str) -> list:
     return [f"line {line}: \\{c}" for line, c in sorted(found)]
 
 
-# The kinds only the monitor may record: its decisions and the deliveries.
-MONITOR_KINDS = {"MSG_RECV", "MONITOR_ALLOW", "MONITOR_DENY"}
+# The kinds only the monitor may record: a delivery is its allow.
+MONITOR_KINDS = {"MSG_RECV", "MONITOR_DENY"}
 
 
-def unmediated_emits(source: str) -> list:
-    """Each ``.emit(...)`` call whose kind is not a literal
-    ``TraceKind.<member>``, or is one of ``MONITOR_KINDS``."""
+def emit_calls(source: str) -> list:
+    """The line of each ``.emit(...)`` call and the name of its kind's
+    member, or None where the kind is not a literal ``TraceKind.<member>``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "emit"):
             continue
         kind = node.args[0] if node.args else None
-        if not (isinstance(kind, ast.Attribute) and isinstance(kind.value, ast.Name)
-                and kind.value.id == "TraceKind"):
-            found.append(f"line {node.lineno}: kind is not a TraceKind literal")
-        elif kind.attr in MONITOR_KINDS:
-            found.append(f"line {node.lineno}: TraceKind.{kind.attr}")
+        literal = (isinstance(kind, ast.Attribute) and isinstance(kind.value, ast.Name)
+                   and kind.value.id == "TraceKind")
+        found.append((node.lineno, kind.attr if literal else None))
     return found
+
+
+def unmediated_emits(source: str) -> list:
+    """Each ``.emit(...)`` call whose kind is not a literal
+    ``TraceKind.<member>``, or is one of ``MONITOR_KINDS``."""
+    return [f"line {line}: kind is not a TraceKind literal" if kind is None
+            else f"line {line}: TraceKind.{kind}"
+            for line, kind in emit_calls(source) if kind is None or kind in MONITOR_KINDS]
+
+
+def unemitted_kinds(kernel: str, sources: list) -> list:
+    """Each member of class ``TraceKind`` in ``kernel`` that no ``.emit(...)``
+    call in ``sources`` names as its literal kind."""
+    emitted = {kind for source in sources for _, kind in emit_calls(source)}
+    return [f"TraceKind.{target.id}" for cls in ast.walk(ast.parse(kernel))
+            if isinstance(cls, ast.ClassDef) and cls.name == "TraceKind"
+            for node in cls.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id not in emitted]
 
 
 def non_clock_schedules(source: str) -> list:
@@ -234,6 +253,11 @@ def test_only_a_clock_rearms_a_tick(path):
                          ids=lambda p: p.name)
 def test_only_the_monitor_records_decisions_and_deliveries(path):
     assert unmediated_emits(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_trace_kind_is_emitted():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unemitted_kinds((PACKAGE / "kernel.py").read_text(encoding="utf-8"), sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -326,9 +350,27 @@ def test_emit_checker_flags_unmediated_records():
                "    sim.emit(TraceKind.SLICE_START, 'core')\n"
                "    sim.emit(TraceKind.MSG_RECV, 'gw_A', msg='m')\n"
                "    sim.emit(kind, 'gw_A')\n"
-               "    emit(TraceKind.MONITOR_ALLOW, 'x')\n")
+               "    emit(TraceKind.MONITOR_DENY, 'x')\n")
     assert unmediated_emits(planted) == [
         "line 3: TraceKind.MSG_RECV", "line 4: kind is not a TraceKind literal"]
+
+
+def test_kind_checker_flags_a_kind_nothing_emits():
+    kernel = ("class TraceKind(str, Enum):\n"
+              "    MSG_SEND = 'MsgSend'\n"
+              "    MSG_RECV = 'MsgRecv'\n"
+              "    MONITOR_ALLOW = 'MonitorAllow'\n"
+              "    MONITOR_DENY = 'MonitorDeny'\n"
+              "class Other(Enum):\n"
+              "    UNUSED = 'x'\n")
+    sources = ["def send(sim):\n"
+               "    sim.emit(TraceKind.MSG_SEND, 'core')\n",
+               "def decide(sim, kind, allowed):\n"
+               "    sim.emit(TraceKind.MSG_RECV if allowed else TraceKind.MONITOR_DENY, 'gw_A')\n"
+               "    sim.emit(kind, 'gw_A')\n"
+               "    emit(TraceKind.MONITOR_ALLOW, 'x')\n"
+               "    sim.emit(TraceKind.MONITOR_DENY, 'gw_A')\n"]
+    assert unemitted_kinds(kernel, sources) == ["TraceKind.MSG_RECV", "TraceKind.MONITOR_ALLOW"]
 
 
 def test_rearm_checker_flags_a_member_scheduling_its_own_tick():
